@@ -1,0 +1,5 @@
+"""Same-box benchmark for coderag_ray: five workloads, one command.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
