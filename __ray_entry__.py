@@ -840,8 +840,6 @@ def q_dedup_exact(sf_dir: str):
 def q_ngram_jaccard(sf_dir: str):
     from coderag_ray.pipelines.dedup import ngram_jaccard_pairs
 
-    # max_shingle_df=None: exact all-pairs parity with the SQL oracle
-    # (the production default caps hot-shingle pair blowup)
     return ngram_jaccard_pairs(_docs(sf_dir), n=3, top=50, max_shingle_df=None)
 
 
@@ -1020,14 +1018,9 @@ def q_minhash_recall(sf_dir: str):
     threshold, beyond q_ngram_jaccard's top-50 — and the booleans pin
     precision == 1 (the pipeline's verify stage guarantees it) and
     recall ≥ 0.9."""
-    import pyarrow.compute as pc
+    from coderag_ray.pipelines.dedup import _similar_pairs, minhash_lsh_pairs
 
-    from coderag_ray.pipelines.dedup import _ngram_pair_scores, minhash_lsh_pairs
-
-    scored = _ngram_pair_scores(_docs(sf_dir), 3, None)
-    ex = (scored.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["jaccard"], 0.5)).select(["doc_a", "doc_b"]),
-        batch_format="pyarrow").to_pandas())
+    ex = _similar_pairs(_docs(sf_dir), 3, 0.5).to_pandas()
     exact_pairs = set(map(tuple, ex[["doc_a", "doc_b"]].values.tolist()))
     mh = minhash_lsh_pairs(_docs(sf_dir), n=3, jaccard_threshold=0.5).to_pandas()
     mh_pairs = set(map(tuple, mh[["doc_a", "doc_b"]].values.tolist()))

@@ -30,12 +30,14 @@ from __future__ import annotations
 import pyarrow as pa
 
 
-def schema_stable(ds, schema: pa.Schema):
+def schema_stable(ds, schema: pa.Schema, sort_key: str | None = None):
     """Return ``ds`` with ``schema`` guaranteed: ``ds.schema()`` is
     always ``schema`` and ``to_pandas()`` on an empty result carries the
     declared (typed) columns.  Blocks are conformed (select + cast) to
     the declared column order/types; a block missing a declared column
-    raises loudly (a genuine pipeline bug, not an empty-input case)."""
+    raises loudly (a genuine pipeline bug, not an empty-input case).
+    ``sort_key`` sorts the result as the LAST operator: a sort placed
+    before the map+union below is not kept by it on many blocks."""
     import ray.data
 
     def conform(t: pa.Table):
@@ -48,6 +50,8 @@ def schema_stable(ds, schema: pa.Schema):
 
     out = ds.map_batches(conform, batch_format="pyarrow").union(
         ray.data.from_arrow(schema.empty_table()))
+    if sort_key is not None:
+        out = out.sort(sort_key)
     _orig_to_pandas = out.to_pandas
 
     def to_pandas(limit=None):

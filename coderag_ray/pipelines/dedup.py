@@ -7,16 +7,24 @@ corpus pipeline needs.  Shapes:
 
 - **exact**: content-hash groupby → group size + keeper (min doc_id).
   One tiny shuffle over (sha256, doc_id) pairs.
-- **n-gram Jaccard**: word n-gram shingles → explode →
-  ``groupby(shingle)`` pair generation → pair-count groupby → exact
-  Jaccard.  At 100 TB the shingle groupby must cap pathological
-  shingle df (``max_shingle_df``) — a hot shingle generates O(df²)
-  pairs; the cap is OFF by default for oracle parity on test data and
-  documented as the scale knob (MinHash-LSH is the real scale path).
+- **n-gram Jaccard**: one exact, prefix-filtered similarity join
+  (:func:`_similar_pairs`) serves the top-k pairs (threshold descent)
+  and the ≥t near-dup clusters.  Each doc is shingled once into 64-bit
+  shingle hashes (:func:`doc_shingle_hashes`); a shingle-keyed exchange
+  counts df and a doc-keyed one orders every doc's shingles rarest
+  first.  Each doc emits only its prefix (|s| − ⌈t·|s|⌉ + 1 rarest
+  shingles); docs meet per prefix token, and a meeting survives the
+  length filter and the PPJoin positional filter.  Survivors are
+  verified exactly by a doc-keyed join on flat (doc_id, hash) rows.  A
+  hot shingle pairs only the docs whose prefix holds it, so no df cap
+  exists (only the top-k descent's last step, t = 0, takes whole sets).
+  Hash sets stand in for shingle-string sets: a false "shared" shingle
+  needs a 64-bit collision, probability ≤ m²/2^65 for m distinct
+  shingles corpus-wide (~3·10^-8 at m = 10^6).
 - **MinHash-LSH**: per-doc 64-perm MinHash signature (vectorized
-  universal hashing over blake2b shingle hashes), banded into 16
-  buckets → candidate pairs from bucket groupby → exact-Jaccard verify.
-  Deterministic: all hash seeds are fixed constants.
+  universal hashing over the same shingle hashes), banded into 16
+  buckets → candidate pairs from bucket groupby → the same exact
+  verify join.  Deterministic: all hash seeds are fixed constants.
 - **SimHash**: 64-bit weighted sign-hash per doc; near-dups = hamming
   distance ≤ t among banded candidates.
 - **embedding cosine**: within-block (label) pairwise cosine via
@@ -65,19 +73,6 @@ MINHASH_BANDS = 16
 _MERS_P = (1 << 61) - 1
 
 
-def _from_pandas(df: pd.DataFrame) -> pa.Table:
-    """Convert a map_groups result to an ARROW block.  Pandas blocks
-    flowing into a downstream sort hit Ray's unhashable
-    ``PandasBlockSchema`` path (the "Failed to hash the schemas" warning
-    seen in round-1 bench logs) and empty pandas groups emit
-    schema-mismatch warnings — emitting Arrow with explicit dtypes
-    avoids both.  The b'pandas' schema metadata is stripped too: a
-    schema carrying it holds a dict and is UNHASHABLE, which is exactly
-    what tripped Ray's "Failed to hash the schemas" warning in round-1
-    bench logs."""
-    return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-
 def _word_shingles(text: str, n: int = 3) -> set[str]:
     """Distinct word n-grams of the lowercased, ws-split text (frozen spec,
     mirrored in the SQL oracle)."""
@@ -85,27 +80,6 @@ def _word_shingles(text: str, n: int = 3) -> set[str]:
     if len(words) < n:
         return {" ".join(words)} if words else set()
     return {" ".join(words[i : i + n]) for i in range(len(words) - n + 1)}
-
-
-def shingle_batch(t: pa.Table, n: int = 3) -> pa.Table:
-    """(doc_id, shingle, n_doc_shingles) rows — distinct word n-grams per
-    doc.  The per-doc shingle-set size is carried INLINE on every row so
-    downstream pair scoring never needs a corpus-sized doc→size lookup
-    (no driver-side sizes dict, no extra join)."""
-    ids, shingles, sizes = [], [], []
-    for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-        sh = _word_shingles(text, n)
-        for s in sh:
-            ids.append(did)
-            shingles.append(s)
-            sizes.append(len(sh))
-    return pa.table(
-        {
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "shingle": pa.array(shingles, type=pa.string()),
-            "n_doc_shingles": pa.array(sizes, type=pa.int64()),
-        }
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +132,241 @@ def exact_dedup(docs_ds):
 
 
 # ---------------------------------------------------------------------------
-# n-gram Jaccard
+# n-gram Jaccard: one exact, prefix-filtered similarity join
 # ---------------------------------------------------------------------------
 
+# Every union-join exchange below carries this one row shape.  A doc row
+# (``pos`` ≥ 0) is one distinct shingle hash of ``doc_id``: ``n`` is the
+# doc's shingle-set size, ``pos`` the shingle's rank in the doc's
+# rarest-first order (its df, on the way into the ranking exchange).  A
+# pair row (``pos`` < 0) stands for the candidate pair (doc_id, other) in
+# the exchange keyed on ``doc_id``.
+SIDE_SCHEMA = pa.schema([
+    ("doc_id", pa.int64()), ("other", pa.int64()), ("hash", pa.uint64()),
+    ("n", pa.int64()), ("pos", pa.int64()), ("__bucket", pa.int32()),
+])
+# Thresholds ngram_jaccard_pairs(top=k) tries, highest first; the last
+# (0: every pair sharing a shingle) makes the descent total.
+TOPK_DESCENT = (0.875, 0.5, 0.25, 0.0)
+# Slack on every ⌈x⌉ of a filter bound: float error in t·|s| (e.g.
+# 0.55 * 100 = 55.00000000000001) may only loosen a bound, never tighten it.
+_BOUND_EPS = 1e-6
 
-# Recommended hot-shingle df cap at corpus scale — NOT the default:
-# capping silently changes exact all-pairs Jaccard into an approximation,
-# so scale-sensitive callers must opt in explicitly (the capped path is
-# exercised by tests/test_round2_fixes.py::test_ngram_jaccard_hot_shingle_cap; the
-# driver queries and bench run the exact default for SQL-oracle parity,
-# with MinHash-LSH as the documented scale path).
-SCALE_MAX_SHINGLE_DF = 1024
+
+def _ceil_lo(x: np.ndarray) -> np.ndarray:
+    return np.ceil(x - _BOUND_EPS)
+
+
+def _route(keys: np.ndarray, nb: int) -> np.ndarray:
+    """Exchange bucket of int64 doc ids or uint64 shingle hashes."""
+    from coderag_ray.functions.hashing import splitmix64
+
+    return (splitmix64(keys.astype(np.uint64)) % np.uint64(nb)).astype(np.int32)
+
+
+def _run_bounds(*sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the equal-key runs of lexsorted key columns."""
+    m = len(sorted_keys[0])
+    new = np.zeros(m, dtype=bool)
+    new[:1] = True
+    for k in sorted_keys:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.diff(np.r_[starts, m])
+
+
+def _run_pairs(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i < j) inside every run ``[start, start+len)`` —
+    batched by run length, numpy only."""
+    ia, ib = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for ln in np.unique(lens[lens >= 2]):
+        runs = starts[lens == ln][:, None]
+        ai, bi = np.triu_indices(int(ln), k=1)
+        ia.append((runs + ai).ravel())
+        ib.append((runs + bi).ravel())
+    return np.concatenate(ia), np.concatenate(ib)
+
+
+def _side(doc_id, hash_, n, pos, bucket, other=None) -> pa.Table:
+    if other is None:
+        other = np.zeros(len(doc_id), np.int64)
+    cols = (doc_id, other, hash_, n, pos, bucket)
+    return pa.Table.from_arrays([pa.array(c, type=f.type) for c, f in zip(cols, SIDE_SCHEMA)],
+                                schema=SIDE_SCHEMA)
+
+
+def _doc_rows(t: pa.Table, n: int, nb: int, by_doc: bool) -> pa.Table:
+    """Docs → one doc row per distinct shingle hash (:func:`doc_shingle_hashes`),
+    routed by doc id or by hash."""
+    ids = pc.cast(t["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
+    hs = [doc_shingle_hashes(text, n) for text in t["text"].to_pylist()]
+    sizes = np.fromiter(map(len, hs), np.int64, len(hs))
+    h = np.concatenate(hs) if hs else np.empty(0, np.uint64)
+    d = np.repeat(ids, sizes)
+    return _side(d, h, np.repeat(sizes, sizes), np.zeros(len(h), np.int64),
+                 _route(d if by_doc else h, nb))
+
+
+def _pair_rows(t: pa.Table, nb: int) -> pa.Table:
+    """Candidate (doc_a, doc_b) → pair rows keyed on doc_a."""
+    a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+    b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return _side(a, np.zeros(len(a), np.uint64), np.zeros(len(a), np.int64),
+                 np.full(len(a), -1, np.int64), _route(a, nb), other=b)
+
+
+def _attach_a(g: dict, nb: int) -> pa.Table:
+    """Verify round 1, keyed on doc_a: every distinct pair picks up
+    doc_a's hashes, re-keyed on doc_b."""
+    is_pair = g["pos"] < 0
+    d, h, n = g["doc_id"][~is_pair], g["hash"][~is_pair], g["n"][~is_pair]
+    o = np.argsort(d, kind="stable")
+    d, h, n = d[o], h[o], n[o]
+    a, b = g["doc_id"][is_pair], g["other"][is_pair]
+    o = np.lexsort((b, a))
+    starts, _ = _run_bounds(a[o], b[o])
+    a, b = a[o][starts], b[o][starts]
+    lo = np.searchsorted(d, a, "left")
+    cnt = np.searchsorted(d, a, "right") - lo
+    idx = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(int(cnt.sum()))
+    bb = np.repeat(b, cnt)
+    return _side(bb, h[idx], n[idx], np.full(len(idx), -1, np.int64), _route(bb, nb),
+                 other=np.repeat(a, cnt))
+
+
+def _score_b(g: dict, t: float) -> pa.Table:
+    """Verify round 2, keyed on doc_b: count doc_a's hashes that doc_b
+    also holds, then keep pairs with ``jaccard >= t``."""
+    is_doc = g["pos"] >= 0
+    o = np.lexsort((~is_doc, g["hash"], g["doc_id"]))  # doc row heads its (doc, hash) run
+    d, h, doc_row = g["doc_id"][o], g["hash"][o], is_doc[o]
+    other, n = g["other"][o], g["n"][o]
+    starts, lens = _run_bounds(d, h)
+    head = np.repeat(starts, lens)
+    hit = ~doc_row & doc_row[head]
+    a, b, n_a, n_b = other[hit], d[hit], n[hit], n[head[hit]]
+    o = np.lexsort((b, a))
+    starts, common = _run_bounds(a[o], b[o])
+    a, b, n_a, n_b = a[o][starts], b[o][starts], n_a[o][starts], n_b[o][starts]
+    jac = common / (n_a + n_b - common)
+    keep = jac >= t
+    return pa.table({
+        "doc_a": pa.array(a[keep], type=pa.int64()),
+        "doc_b": pa.array(b[keep], type=pa.int64()),
+        "n_common": pa.array(common[keep], type=pa.int64()),
+        "n_a": pa.array(n_a[keep], type=pa.int64()),
+        "n_b": pa.array(n_b[keep], type=pa.int64()),
+        "jaccard": pa.array(jac[keep], type=pa.float64()),
+    })
+
+
+def _verify_pairs(cand_ds, doc_rows, t: float, nb: int):
+    """Exact Jaccard of candidate pairs → PAIR_SCORE rows with
+    ``jaccard >= t`` (and at least one shared shingle).
+
+    ``cand_ds`` holds (doc_a < doc_b) candidates, duplicates allowed;
+    ``doc_rows`` is the materialized doc-row Dataset keyed on doc id.
+    Two doc-keyed union-joins on flat (doc_id, hash) rows: round 1
+    dedups each pair and sends doc_a's hashes to doc_b's bucket, round 2
+    counts the ones doc_b also holds with one sort — no per-pair Python.
+    Each union input is materialized first: a lazy branch unioned into
+    the exchange stalls under a small object store."""
+    pairs = cand_ds.map_batches(lambda b: _pair_rows(b, nb), batch_format="pyarrow").materialize()
+    a_side = (doc_rows.union(pairs).groupby("__bucket")
+              .map_groups(lambda g: _attach_a(g, nb), batch_format="numpy")
+              .materialize())
+    return schema_stable(
+        doc_rows.union(a_side).groupby("__bucket")
+        .map_groups(lambda g: _score_b(g, t), batch_format="numpy"),
+        PAIR_SCORE_SCHEMA,
+    )
+
+
+def _ranked_doc_rows(docs_ds, n: int):
+    """→ (doc rows with each shingle's rarest-first rank in ``pos``,
+    materialized and keyed on doc id; bucket count).
+
+    Two exchanges: shingle-keyed to count df, doc-keyed to order each
+    doc's shingles by (df, hash) — one global order, so prefixes of any
+    two docs are comparable."""
+    from coderag_ray.config import auto_buckets, dataset_rows_estimate
+
+    # ~160 narrow rows per doc: 10k docs per bucket keeps groups ~10^6 rows
+    nb = auto_buckets(dataset_rows_estimate(docs_ds), target_rows=10_000)
+
+    def add_df(g: dict) -> pa.Table:
+        _, inv, df = np.unique(g["hash"], return_inverse=True, return_counts=True)
+        return _side(g["doc_id"], g["hash"], g["n"], df[inv], _route(g["doc_id"], nb))
+
+    def rank(g: dict) -> pa.Table:
+        d, h = g["doc_id"], g["hash"]
+        o = np.lexsort((h, g["pos"], d))  # pos holds df here: rarest first
+        d, h, n = d[o], h[o], g["n"][o]
+        starts, lens = _run_bounds(d)
+        pos = np.arange(len(d)) - np.repeat(starts, lens)
+        return _side(d, h, n, pos, g["__bucket"][o])
+
+    ranked = (
+        docs_ds.map_batches(lambda t: _doc_rows(t, n, nb, by_doc=False), batch_format="pyarrow")
+        .groupby("__bucket").map_groups(add_df, batch_format="numpy")
+        .groupby("__bucket").map_groups(rank, batch_format="numpy")
+        .materialize()
+    )
+    return ranked, nb
+
+
+def _threshold_join(ranked, t: float, nb: int):
+    """PAIR_SCORE rows of every pair with ``jaccard >= t`` over
+    :func:`_ranked_doc_rows` output — prefix filter, then verify.
+
+    A doc with s shingles emits its first ``s − ⌈t·s⌉ + 1`` (the
+    prefix): a pair with J ≥ t shares ≥ ⌈t·s⌉ shingles, so it shares its
+    rarest common shingle inside both prefixes.  Docs meet per prefix
+    token; a meeting survives the length filter (min ≥ ⌈t·max⌉) and the
+    PPJoin positional filter: at the first meeting (positions i₀, j₀)
+    every shared shingle lies at or after both, so
+    ``min(|a|−i₀, |b|−j₀) ≥ ⌈t/(1+t)·(|a|+|b|)⌉``.  Later meetings have
+    larger positions, so a pair passes at some meeting iff it passes at
+    its first — each meeting is tested alone."""
+
+    def prefix(b: pa.Table) -> pa.Table:
+        s = b["n"].to_numpy()
+        keep = b["pos"].to_numpy() < s - _ceil_lo(t * s) + 1
+        b = b.filter(keep)
+        return b.set_column(b.schema.get_field_index("__bucket"), "__bucket",
+                            pa.array(_route(b["hash"].to_numpy(), nb), type=pa.int32()))
+
+    def meet(g: dict) -> pa.Table:
+        o = np.lexsort((g["doc_id"], g["hash"]))
+        h, d, s, p = g["hash"][o], g["doc_id"][o], g["n"][o], g["pos"][o]
+        ia, ib = _run_pairs(*_run_bounds(h))
+        sa, sb = s[ia], s[ib]
+        keep = ((np.minimum(sa, sb) >= _ceil_lo(t * np.maximum(sa, sb)))
+                & (np.minimum(sa - p[ia], sb - p[ib]) >= _ceil_lo(t / (1 + t) * (sa + sb))))
+        a, b = d[ia][keep], d[ib][keep]
+        return pa.table({"doc_a": pa.array(a, type=pa.int64()),
+                         "doc_b": pa.array(b, type=pa.int64())})
+
+    cand = (ranked.map_batches(prefix, batch_format="pyarrow")
+            .groupby("__bucket").map_groups(meet, batch_format="numpy"))
+    return _verify_pairs(cand, ranked, t, nb)
+
+
+def _similar_pairs(docs_ds, n: int, t: float):
+    """Distributed Dataset of PAIR_SCORE rows (doc_a < doc_b, n_common,
+    n_a, n_b, jaccard) for every pair with ``jaccard >= t`` over the
+    docs' word-n-gram shingle sets — the shared engine of
+    :func:`ngram_jaccard_pairs`, :func:`near_dup_clusters` and the
+    MinHash recall check.  ``t = 0`` gives every pair sharing a shingle."""
+    ranked, nb = _ranked_doc_rows(docs_ds, n)
+    return _threshold_join(ranked, t, nb)
+
+
+def _no_cap(max_shingle_df) -> None:
+    if max_shingle_df is not None:
+        raise ValueError(
+            "max_shingle_df is no longer supported: the prefix-filtered join "
+            "is exact and bounds hot-shingle pairs itself; pass None")
 
 
 def ngram_jaccard_pairs(docs_ds, n: int = 3, top: int = 50,
@@ -180,159 +378,36 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, top: int = 50,
     integer ratio evaluated in float64, so ordering is reproducible
     bit-for-bit in any engine.
 
-    Scale shape (no corpus-sized state on the driver):
-
-    - per-doc shingle-set sizes ride along on every shingle row
-      (:func:`shingle_batch`), so pair rows are born with (n_a, n_b)
-      attached — no sizes dict, no second join;
-    - pair generation and counting key on the (doc_a, doc_b) COLUMN
-      PAIR throughout (never packed into one int64 — packing silently
-      corrupts 63-bit stable doc ids, e.g. the engine's own
-      ``stable_doc_id``);
-    - ``max_shingle_df`` caps the O(df²) pair blowup of a hot shingle
-      (boilerplate headers, empty-ish docs).  OFF by default — the
-      default result is the exact all-pairs Jaccard (SQL-oracle
-      parity); pass ``SCALE_MAX_SHINGLE_DF`` (or your own cap) at
-      corpus scale, where one boilerplate shingle shared by 10^6 docs
-      would otherwise expand to 10^12 pair rows.  Dropped runs are
-      counted and logged;
-    - the jaccard/top-k tail is a distributed ``sort().limit()`` —
-      only the final ``top`` rows ever reach the driver.
+    Threshold descent over :data:`TOPK_DESCENT`: the threshold join
+    (:func:`_threshold_join`) runs at each t in turn over one shingling
+    pass, and stops at the first t with at least ``top`` pairs.  That is
+    exact — every top-``top`` pair has ``jaccard >= t`` — and the
+    distributed ``sort().limit()`` tail brings only ``top`` rows to the
+    driver.  Pairs key on the (doc_a, doc_b) column pair throughout, so
+    63-bit doc ids survive.  ``max_shingle_df`` must be None (the
+    hot-shingle cap is gone; the join is exact without it).
     """
-    scored = _ngram_pair_scores(docs_ds, n, max_shingle_df)
-    # distributed top-k: sort + limit — only `top` rows reach the driver
+    _no_cap(max_shingle_df)
+    ranked, nb = _ranked_doc_rows(docs_ds, n)
+    for t in TOPK_DESCENT:
+        scored = _threshold_join(ranked, t, nb).materialize()
+        if scored.count() >= top:
+            break
     pdf = (
         scored.sort(["jaccard", "doc_a", "doc_b"], descending=[True, False, False])
         .limit(top)
         .to_pandas()
     )
     if len(pdf) == 0:
-        return pa.table({"doc_a": pa.array([], type=pa.int64()),
-                         "doc_b": pa.array([], type=pa.int64()),
-                         "n_common": pa.array([], type=pa.int64()),
-                         "n_a": pa.array([], type=pa.int64()),
-                         "n_b": pa.array([], type=pa.int64()),
-                         "jaccard": pa.array([], type=pa.float64())})
+        return PAIR_SCORE_SCHEMA.empty_table()
     pdf["jaccard"] = round6(pdf["jaccard"].to_numpy())
     return pa.Table.from_pandas(pdf.reset_index(drop=True), preserve_index=False)
 
 
-def _ngram_pair_scores(docs_ds, n: int = 3,
-                       max_shingle_df: int | None = None):
-    """Distributed Dataset of scored pairs
-    (doc_a, doc_b, n_common, n_a, n_b, jaccard) — the shared engine of
-    :func:`ngram_jaccard_pairs` and :func:`near_dup_clusters`."""
-    import logging
-
-    from coderag_ray.config import auto_buckets
-
-    from coderag_ray.config import dataset_rows_estimate
-
-    n_rows = dataset_rows_estimate(docs_ds)
-    # shingle groups hold ~dozens of text rows per doc → small target;
-    # pair-merge groups hold duplicate-rate-sized narrow rows
-    nb_shingle = auto_buckets(n_rows, target_rows=50_000)
-    nb_pair = auto_buckets(n_rows, target_rows=200_000)
-
-    shingles = docs_ds.map_batches(lambda t: shingle_batch(t, n), batch_format="pyarrow")
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        """Hash-bucket shingles so pair expansion runs over ~B large
-        groups instead of one Python call per distinct shingle."""
-        import zlib
-
-        b = np.array(
-            [zlib.crc32(s.encode("utf-8")) % nb_shingle for s in t["shingle"].to_pylist()],
-            dtype=np.int32,
-        )
-        return t.append_column("bucket", pa.array(b))
-
-    def pairs_of_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized per-shingle pair expansion: sort by shingle, take
-        # run lengths, emit all within-run index pairs with numpy only
-        codes, _ = pd.factorize(g["shingle"], sort=False)
-        order = np.lexsort((g["doc_id"].to_numpy(), codes))
-        ids = g["doc_id"].to_numpy()[order]
-        sizes = g["n_doc_shingles"].to_numpy()[order]
-        codes = codes[order]
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        lens = np.diff(np.r_[starts, len(codes)])
-        if max_shingle_df is not None:
-            keep_run = lens <= max_shingle_df
-            n_dropped = int((~keep_run).sum())
-            if n_dropped:
-                logging.getLogger(__name__).warning(
-                    "ngram_jaccard: dropped %d hot shingles (df > %d) in bucket %s",
-                    n_dropped, max_shingle_df, int(g["bucket"].iloc[0]),
-                )
-            starts, lens = starts[keep_run], lens[keep_run]
-        out_a, out_b, out_na, out_nb = [], [], [], []
-        for ln in np.unique(lens):
-            if ln < 2:
-                continue
-            runs = starts[lens == ln]  # all runs of this length, together
-            idx = runs[:, None] + np.arange(ln)[None, :]
-            block = ids[idx]  # [n_runs, ln]
-            sblock = sizes[idx]
-            ai, bi = np.triu_indices(int(ln), k=1)
-            out_a.append(block[:, ai].ravel())
-            out_b.append(block[:, bi].ravel())
-            out_na.append(sblock[:, ai].ravel())
-            out_nb.append(sblock[:, bi].ravel())
-        if not out_a:
-            return _from_pandas(pd.DataFrame({"doc_a": pd.Series([], dtype=np.int64),
-                                              "doc_b": pd.Series([], dtype=np.int64),
-                                              "n_a": pd.Series([], dtype=np.int64),
-                                              "n_b": pd.Series([], dtype=np.int64),
-                                              "cnt": pd.Series([], dtype=np.int64)}))
-        # pre-aggregate within the bucket (combiner) so the global merge
-        # only moves one row per (pair, bucket)
-        df = pd.DataFrame({"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b),
-                           "n_a": np.concatenate(out_na), "n_b": np.concatenate(out_nb)})
-        agg = (df.groupby(["doc_a", "doc_b"], sort=False)
-                 .agg(n_a=("n_a", "first"), n_b=("n_b", "first"),
-                      cnt=("doc_a", "size")).reset_index())
-        agg["cnt"] = agg["cnt"].astype(np.int64)
-        return _from_pandas(agg)
-
-    from coderag_ray.functions.hashing import splitmix64
-
-    pair_rows = (
-        shingles.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_of_bucket, batch_format="pandas")
-    )
-
-    # global merge: hash-bucket on doc_a (rows with equal (doc_a, doc_b)
-    # share doc_a → same bucket), one vectorized pandas groupby per
-    # bucket — the bucket_agg pattern generalized to a two-column key
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (splitmix64(a) % np.uint64(nb_pair)).astype(np.int32)
-        return t.append_column("__bucket", pa.array(b))
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (g.groupby(["doc_a", "doc_b"], sort=False)
-                 .agg(n_common=("cnt", "sum"), n_a=("n_a", "first"),
-                      n_b=("n_b", "first")).reset_index())
-        union = agg["n_a"] + agg["n_b"] - agg["n_common"]
-        agg["jaccard"] = agg["n_common"].astype(np.float64) / union.astype(np.float64)
-        for c in ("doc_a", "doc_b", "n_common", "n_a", "n_b"):
-            agg[c] = agg[c].astype(np.int64)
-        return _from_pandas(agg[["doc_a", "doc_b", "n_common", "n_a", "n_b", "jaccard"]])
-
-    return schema_stable(
-        pair_rows.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pandas"),
-        PAIR_SCORE_SCHEMA,
-    )
-
-
 def clusters_from_pairs(pairs: pa.Table) -> pa.Table:
     """Connected components over an edge table with ``doc_a``/``doc_b``
-    columns (the output shape of :func:`minhash_lsh_pairs` or a
-    thresholded :func:`_ngram_pair_scores`): min-label union-find →
+    columns (the output shape of :func:`minhash_lsh_pairs` or of
+    :func:`_similar_pairs`): min-label union-find →
     (doc_id, cluster_id) sorted by doc_id.  Edges are duplicate-rate-
     sized by construction, so the driver-side union-find is appropriate;
     see :func:`near_dup_clusters` for the scale note."""
@@ -376,7 +451,8 @@ def _cc_star_rounds(edges_ds, num_buckets: int = 256, max_rounds: int = 64):
     (plus the node itself); each groupby is hash-bucketed (node-keyed
     group cardinality grows with the graph) with vectorized
     ``minimum.reduceat`` segment minima inside.  A (count, hash-sum)
-    fixed-point check on the deduped edge set detects convergence.
+    fixed-point check on the deduped edge set detects convergence;
+    reaching ``max_rounds`` without it raises ``RuntimeError``.
     """
     from coderag_ray.functions.hashing import splitmix64
 
@@ -471,9 +547,12 @@ def _cc_star_rounds(edges_ds, num_buckets: int = 256, max_rounds: int = 64):
                .materialize())
         fp = _fingerprint(cur)
         if fp == prev_fp:
-            break
+            return cur
         prev_fp = fp
-    return cur
+    # unconverged stars still give some docs several roots; a label
+    # picked from them would be silently wrong
+    raise RuntimeError(
+        f"connected components did not converge in {max_rounds} star rounds")
 
 
 def clusters_from_edges_ds(edges_ds, edge_budget: int = 5_000_000):
@@ -527,15 +606,12 @@ def clusters_from_edges_ds(edges_ds, edge_budget: int = 5_000_000):
             "cluster_id": pa.array(u["cluster_id"].to_numpy(dtype=np.int64), type=pa.int64()),
         })
 
-    from coderag_ray.functions.datasets import schema_stable
-
     return schema_stable(
         stars.map_batches(to_labels, batch_format="pyarrow")
         .map_batches(add_label_bucket, batch_format="pyarrow")
         .groupby("__bucket")
-        .map_groups(dedup_labels, batch_format="pandas")
-        .sort("doc_id"),
-        CLUSTER_SCHEMA,
+        .map_groups(dedup_labels, batch_format="pandas"),
+        CLUSTER_SCHEMA, sort_key="doc_id",
     )
 
 
@@ -553,24 +629,20 @@ def near_dup_clusters(docs_ds, threshold: float = 0.5, n: int = 3,
     on the driver).  Consume with ``.to_pandas()`` / ``to_arrow_refs``
     accordingly; values are identical either way.
 
-    Scale shape: pair scoring runs distributed
-    (:func:`_ngram_pair_scores`) and only EDGES above the threshold
-    leave it — the near-dup edge set scales with the duplicate rate,
-    not the corpus.  Below ``edge_budget`` edges the components come
+    Scale shape: the exact threshold join (:func:`_similar_pairs` at
+    ``t = threshold``) runs distributed and only EDGES at or above the
+    threshold leave it — the near-dup edge set scales with the duplicate
+    rate, not the corpus.  Below ``edge_budget`` edges the components come
     from a driver union-find; above it the distributed large-star /
     small-star contraction (:func:`_cc_star_rounds`) runs entirely as
     bucketed groupbys over the edge Dataset, so no edge- or
     component-sized state ever reaches the driver.  Same output either
     way (tests force the low-budget path and assert equality).
+    ``max_shingle_df`` must be None.
     """
-    import pyarrow.compute as pc
-
-    scored = _ngram_pair_scores(docs_ds, n, max_shingle_df)
-    edges_ds = scored.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["jaccard"], threshold))
-                   .select(["doc_a", "doc_b"]),
-        batch_format="pyarrow",
-    )
+    _no_cap(max_shingle_df)
+    edges_ds = _similar_pairs(docs_ds, n, threshold).map_batches(
+        lambda t: t.select(["doc_a", "doc_b"]), batch_format="pyarrow")
     return clusters_from_edges_ds(edges_ds, edge_budget)
 
 
@@ -702,47 +774,35 @@ def minhash_signatures_batch(hash_lists: list[np.ndarray],
     return out
 
 
-class MinHashStage:
-    """Actor-pool map_batches stage: doc → (band_id, band_hash, doc_id)
-    rows.  Word-hash cache lives per actor; shingle hashing and band
-    hashing are vectorized (:func:`doc_shingle_hashes` + a splitmix64
-    fold over each band's signature rows)."""
+def minhash_band_rows(t: pa.Table, n: int = 3) -> pa.Table:
+    """map_batches stage: doc → (doc_id, band_id, band_hash) rows.  A
+    plain task, not an actor pool: the word-hash cache is per worker
+    process either way, and an actor pool pays its start-up on every
+    call.  Shingle hashing and band hashing are vectorized
+    (:func:`doc_shingle_hashes` + a splitmix64 fold over each band's
+    signature rows)."""
+    from coderag_ray.functions.hashing import splitmix64
 
-    def __init__(self, n: int = 3):
-        self.n = n
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        from coderag_ray.functions.hashing import splitmix64
-
-        rpb = MINHASH_PERMS // MINHASH_BANDS
-        dids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False),
-                          dtype=np.int64)
-        hash_lists = [doc_shingle_hashes(text, self.n)
-                      for text in t["text"].to_pylist()]
-        sigs = minhash_signatures_batch(hash_lists)  # (n_docs, perms)
-        n_docs = len(dids)
-        # band hash = splitmix64 fold over the band's rpb signature
-        # values — vectorized over (docs × bands) at once
-        bands = sigs.reshape(n_docs, MINHASH_BANDS, rpb)
-        acc = np.full((n_docs, MINHASH_BANDS), _SH_SEED, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for j in range(rpb):
-                acc = splitmix64(acc ^ (bands[:, :, j] * _SH_PHI))
-        bh = (acc >> np.uint64(1)).astype(np.int64)  # fits int64, positive
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(dids, MINHASH_BANDS), type=pa.int64()),
-                "band_id": pa.array(np.tile(np.arange(MINHASH_BANDS, dtype=np.int32),
-                                            n_docs)),
-                "band_hash": pa.array(bh.reshape(-1), type=pa.int64()),
-            }
-        )
-
-
-def _empty_pairs() -> pa.Table:
-    return pa.table({"doc_a": pa.array([], type=pa.int64()),
-                     "doc_b": pa.array([], type=pa.int64()),
-                     "jaccard": pa.array([], type=pa.float64())})
+    rpb = MINHASH_PERMS // MINHASH_BANDS
+    dids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
+    hash_lists = [doc_shingle_hashes(text, n) for text in t["text"].to_pylist()]
+    sigs = minhash_signatures_batch(hash_lists)  # (n_docs, perms)
+    n_docs = len(dids)
+    # band hash = splitmix64 fold over the band's rpb signature
+    # values — vectorized over (docs × bands) at once
+    bands = sigs.reshape(n_docs, MINHASH_BANDS, rpb)
+    acc = np.full((n_docs, MINHASH_BANDS), _SH_SEED, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for j in range(rpb):
+            acc = splitmix64(acc ^ (bands[:, :, j] * _SH_PHI))
+    bh = (acc >> np.uint64(1)).astype(np.int64)  # fits int64, positive
+    return pa.table(
+        {
+            "doc_id": pa.array(np.repeat(dids, MINHASH_BANDS), type=pa.int64()),
+            "band_id": pa.array(np.tile(np.arange(MINHASH_BANDS, dtype=np.int32), n_docs)),
+            "band_hash": pa.array(bh.reshape(-1), type=pa.int64()),
+        }
+    )
 
 
 def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
@@ -750,7 +810,8 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
     """Near-dup pairs via MinHash-LSH candidates + exact-Jaccard verify.
 
     → pyarrow Table (doc_a, doc_b, jaccard) sorted (doc_a, doc_b);
-    deterministic (fixed seeds).
+    deterministic (fixed seeds).  Only pairs sharing at least one
+    shingle are reported.
 
     Every corpus-growing intermediate stays distributed:
 
@@ -758,30 +819,22 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
        per-bucket doc cap (``max_bucket_docs``, logged when it trims —
        one hot band hash, e.g. many near-empty docs, would otherwise
        emit O(df²) pairs);
-    2. pair dedup across bands is a bucketed ``map_groups`` keyed on
-       ``hash(doc_a)``;
-    3. exact-Jaccard verify is a two-round distributed join: candidate
-       docs' shingle-HASH sets (sorted uint64 arrays — same blake2b-64
-       hashes the signatures use; a 64-bit collision is negligible) are
-       attached to each pair side via a doc-keyed bucket join, then
-       pairs reunite in a pair-keyed bucket join where the intersection
-       runs as ``np.intersect1d``.  Only candidate doc IDs (bounded by
-       the bucket cap) and the final verified pairs touch the driver.
+    2. exact-Jaccard verify is :func:`_verify_pairs`, the doc-keyed
+       join the n-gram threshold join uses: it dedups the pairs the
+       bands repeat and counts shared shingle hashes (the same 64-bit
+       hash family the signatures use) with one sort per bucket.  Only
+       the final verified pairs touch the driver.
     """
     import logging
 
-    import ray
-
-    from coderag_ray.config import auto_buckets
+    from coderag_ray.config import auto_buckets, dataset_rows_estimate
     from coderag_ray.functions.hashing import splitmix64
 
-    from coderag_ray.config import dataset_rows_estimate
-
     n_rows = dataset_rows_estimate(docs_ds)
-    # band rows = docs × MINHASH_BANDS narrow rows; join rounds hold
-    # candidate-scale rows — all derived, never fixed (VERDICT r3 item 3)
+    # band rows = docs × MINHASH_BANDS narrow rows; the verify join holds
+    # ~160 shingle rows per doc — both derived from the input size
     nb_band = auto_buckets(n_rows * MINHASH_BANDS, target_rows=2_000_000, lo=256)
-    nb_join = auto_buckets(n_rows, target_rows=500_000)
+    nb_join = auto_buckets(n_rows, target_rows=10_000)
 
     def add_band_bucket(t: pa.Table) -> pa.Table:
         # distinct (band_id, band_hash) cardinality grows with the
@@ -792,26 +845,16 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
         b = (splitmix64(h) % np.uint64(nb_band)).astype(np.int32)
         return t.append_column("__bucket", pa.array(b))
 
-    from coderag_ray.config import auto_concurrency
-
-    bands = (docs_ds.map_batches(MinHashStage, fn_constructor_args=(n,),
-                                 batch_format="pyarrow",
-                                 concurrency=auto_concurrency())
+    bands = (docs_ds.map_batches(lambda t: minhash_band_rows(t, n), batch_format="pyarrow")
              .map_batches(add_band_bucket, batch_format="pyarrow"))
 
-    def pairs_of_bucket(g: pd.DataFrame) -> pa.Table:
+    def pairs_of_bucket(g: dict) -> pa.Table:
         """All (band_id, band_hash) runs of one coarse bucket, pair-
-        expanded vectorized (same run-batched scheme as the n-gram
-        path); runs over ``max_bucket_docs`` are capped (logged)."""
-        order = np.lexsort((g["doc_id"].to_numpy(), g["band_hash"].to_numpy(),
-                            g["band_id"].to_numpy()))
-        bi = g["band_id"].to_numpy()[order]
-        bh = g["band_hash"].to_numpy()[order]
-        ids = g["doc_id"].to_numpy()[order]
-        new_run = np.ones(len(ids), dtype=bool)
-        new_run[1:] = (bi[1:] != bi[:-1]) | (bh[1:] != bh[:-1])
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.r_[starts, len(ids)])
+        expanded vectorized; runs over ``max_bucket_docs`` are capped
+        (logged)."""
+        order = np.lexsort((g["doc_id"], g["band_hash"], g["band_id"]))
+        ids = g["doc_id"][order]
+        starts, lens = _run_bounds(g["band_id"][order], g["band_hash"][order])
         if max_bucket_docs is not None:
             over = lens > max_bucket_docs
             if over.any():
@@ -819,138 +862,24 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
                     "minhash_lsh: %d band buckets over %d docs capped",
                     int(over.sum()), max_bucket_docs)
                 lens = np.minimum(lens, max_bucket_docs)
-        out_a, out_b = [], []
-        for ln in np.unique(lens):
-            if ln < 2:
-                continue
-            runs = starts[lens == ln]
-            idx = runs[:, None] + np.arange(ln)[None, :]
-            block = ids[idx]
-            ai, bi2 = np.triu_indices(int(ln), k=1)
-            out_a.append(block[:, ai].ravel())
-            out_b.append(block[:, bi2].ravel())
-        if not out_a:
-            return pa.table({"doc_a": pa.array([], type=pa.int64()),
-                             "doc_b": pa.array([], type=pa.int64())})
-        return pa.table({"doc_a": pa.array(np.concatenate(out_a), type=pa.int64()),
-                         "doc_b": pa.array(np.concatenate(out_b), type=pa.int64())})
+        ia, ib = _run_pairs(starts, lens)
+        return pa.table({"doc_a": pa.array(ids[ia], type=pa.int64()),
+                         "doc_b": pa.array(ids[ib], type=pa.int64())})
 
-    def add_bucket_a(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("__bucket", pa.array((splitmix64(a) % np.uint64(nb_join)).astype(np.int32)))
-
-    def dedup_bucket(g: pd.DataFrame) -> pa.Table:
-        return _from_pandas(g.drop_duplicates(["doc_a", "doc_b"])[["doc_a", "doc_b"]])
-
-    cand = (
-        bands.groupby("__bucket")
-        .map_groups(pairs_of_bucket, batch_format="pandas")
-        .map_batches(add_bucket_a, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(dedup_bucket, batch_format="pandas")
-        .materialize()  # consumed twice (id collection + side expansion); candidate-scale, not corpus-scale
-    )
-
-    # distinct candidate doc IDs — ints only, bounded by the bucket cap;
-    # broadcast once for the docs semi-join
-    id_chunks = [
-        np.unique(np.concatenate([
-            b["doc_a"].to_numpy(zero_copy_only=False),
-            b["doc_b"].to_numpy(zero_copy_only=False),
-        ]))
-        for b in cand.iter_batches(batch_format="pyarrow")
-        if b.num_rows
-    ]
-    if not id_chunks:
-        return _empty_pairs()
-    need = np.unique(np.concatenate(id_chunks)).astype(np.int64)
-    need_ref = ray.put(need)
-
-    hashes_type = pa.list_(pa.uint64())
-
-    def doc_hashes(t: pa.Table) -> pa.Table:
-        """Semi-join docs → (doc_id, hashes) for candidate docs only."""
-        need_ids = ray.get(need_ref)
-        t = t.filter(pc.is_in(pc.cast(t["doc_id"], pa.int64()),
-                              value_set=pa.array(need_ids, type=pa.int64())))
-        ids, arrs = [], []
-        for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-            hs = doc_shingle_hashes(text, n)  # same hash family as the stage
-            ids.append(did)
-            arrs.append(hs)
-        return pa.table({
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "doc_a": pa.array([None] * len(ids), type=pa.int64()),
-            "doc_b": pa.array([None] * len(ids), type=pa.int64()),
-            "hashes": pa.array(arrs, type=hashes_type),
-        })
-
-    def pair_sides(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        doc_id = np.concatenate([a, b])
-        return pa.table({
-            "doc_id": pa.array(doc_id, type=pa.int64()),
-            "doc_a": pa.array(np.concatenate([a, a]), type=pa.int64()),
-            "doc_b": pa.array(np.concatenate([b, b]), type=pa.int64()),
-            "hashes": pa.array([None] * len(doc_id), type=hashes_type),
-        })
-
-    def add_bucket_docid(t: pa.Table) -> pa.Table:
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("__bucket", pa.array((splitmix64(d) % np.uint64(nb_join)).astype(np.int32)))
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        """Doc-keyed join round: give each pair side its doc's hash set."""
-        has = g["hashes"].notna()
-        lookup = dict(zip(g.loc[has, "doc_id"], g.loc[has, "hashes"]))
-        pr = g.loc[~has]
-        return pa.table({
-            "doc_a": pa.array(pr["doc_a"].to_numpy(dtype=np.int64), type=pa.int64()),
-            "doc_b": pa.array(pr["doc_b"].to_numpy(dtype=np.int64), type=pa.int64()),
-            "hashes": pa.array(
-                [lookup.get(d) for d in pr["doc_id"]], type=hashes_type),
-        })
-
-    sides = (
-        docs_ds.map_batches(doc_hashes, batch_format="pyarrow")
-        .union(cand.map_batches(pair_sides, batch_format="pyarrow"))
-        .map_batches(add_bucket_docid, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(attach, batch_format="pandas")
-    )
-
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        """Pair-keyed join round: both sides of a pair meet here."""
-        out_a, out_b, out_j = [], [], []
-        for (a, b), gg in g.groupby(["doc_a", "doc_b"], sort=False):
-            hs = [np.asarray(h, dtype=np.uint64) for h in gg["hashes"]
-                  if h is not None and not (isinstance(h, float) and np.isnan(h))]
-            if len(hs) < 2:
-                continue
-            h0, h1 = hs[0], hs[1]
-            u = h0.size + h1.size - np.intersect1d(h0, h1).size
-            j = (h0.size + h1.size - u) / u if u else 0.0
-            if j >= jaccard_threshold:
-                out_a.append(int(a)); out_b.append(int(b)); out_j.append(round6(j))
-        return pa.table({"doc_a": pa.array(out_a, type=pa.int64()),
-                         "doc_b": pa.array(out_b, type=pa.int64()),
-                         "jaccard": pa.array(np.array(out_j, dtype=np.float64),
-                                             type=pa.float64())})
-
-    verified_ds = (
-        sides.map_batches(add_bucket_a, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(verify, batch_format="pandas")
-        .materialize()
-    )
+    cand = bands.groupby("__bucket").map_groups(pairs_of_bucket, batch_format="numpy")
+    doc_rows = docs_ds.map_batches(lambda t: _doc_rows(t, n, nb_join, by_doc=True),
+                                   batch_format="pyarrow").materialize()
+    verified_ds = _verify_pairs(cand, doc_rows, jaccard_threshold, nb_join).materialize()
     global LAST_MINHASH_STATS
     LAST_MINHASH_STATS = verified_ds.stats()  # per-operator audit (bench)
     verified = verified_ds.to_pandas()  # final verified pairs only — small
     if len(verified) == 0:
-        return _empty_pairs()
+        return pa.table({"doc_a": pa.array([], type=pa.int64()),
+                         "doc_b": pa.array([], type=pa.int64()),
+                         "jaccard": pa.array([], type=pa.float64())})
     verified = verified.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    return pa.Table.from_pandas(verified, preserve_index=False)
+    verified["jaccard"] = round6(verified["jaccard"].to_numpy())
+    return pa.Table.from_pandas(verified[["doc_a", "doc_b", "jaccard"]], preserve_index=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,6 +1077,5 @@ def duplicated_spans(docs_ds, window: int = 32, stride: int = 8,
     return schema_stable(
         docs_ds.map_batches(win_batch, batch_format="pyarrow")
         .groupby("__bucket").map_groups(dup_bucket, batch_format="pandas")
-        .groupby("__bucket").map_groups(sum_doc, batch_format="pandas")
-        .sort("doc_id"),
-        SPAN_DUP_SCHEMA)
+        .groupby("__bucket").map_groups(sum_doc, batch_format="pandas"),
+        SPAN_DUP_SCHEMA, sort_key="doc_id")

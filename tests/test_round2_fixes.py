@@ -3,6 +3,7 @@ ties, 63-bit doc-id pair keys) and the vectorized MinHash parity."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 
 def test_varint_decode_count_zero():
@@ -78,10 +79,13 @@ def test_ngram_jaccard_63bit_doc_ids(ray_session):
 
 
 def test_ngram_jaccard_hot_shingle_cap(ray_session):
-    """max_shingle_df drops pairs that only share a hot shingle."""
+    """A shingle in every doc needs no cap: the prefix-filtered join
+    returns the exact all-pairs result, and the removed cap raises."""
+    import itertools
+
     import ray.data
 
-    from coderag_ray.pipelines.dedup import ngram_jaccard_pairs
+    from coderag_ray.pipelines.dedup import _word_shingles, ngram_jaccard_pairs
 
     # 5 docs all share one shingle ("common x y"); docs 1/2 also share
     # a rare overlap
@@ -92,11 +96,18 @@ def test_ngram_jaccard_hot_shingle_cap(ray_session):
                     "text": docs})
     full = ngram_jaccard_pairs(ray.data.from_arrow(tbl), top=50,
                                max_shingle_df=None).to_pandas()
-    capped = ngram_jaccard_pairs(ray.data.from_arrow(tbl), top=50,
-                                 max_shingle_df=4).to_pandas()
-    assert len(capped) < len(full)
-    # the true near-dup pair (identical docs) survives the cap
-    assert (1, 2) in set(zip(capped.doc_a, capped.doc_b))
+    sh = [_word_shingles(d) for d in docs]
+    want = []
+    for a, b in itertools.combinations(range(5), 2):
+        c = len(sh[a] & sh[b])
+        if c:
+            want.append((a, b, c, len(sh[a]), len(sh[b]),
+                         round(c / (len(sh[a]) + len(sh[b]) - c), 6)))
+    want.sort(key=lambda r: (-r[5], r[0], r[1]))
+    assert [tuple(r) for r in full.itertuples(index=False)] == want
+    assert (full.doc_a[0], full.doc_b[0], full.jaccard[0]) == (1, 2, 1.0)
+    with pytest.raises(ValueError, match="max_shingle_df"):
+        ngram_jaccard_pairs(ray.data.from_arrow(tbl), top=50, max_shingle_df=4)
 
 
 def test_knn_boundary_ties_keep_smallest_vec_id(ray_session):
