@@ -828,7 +828,6 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
     import logging
 
     from coderag_ray.config import auto_buckets, dataset_rows_estimate
-    from coderag_ray.functions.hashing import splitmix64
 
     n_rows = dataset_rows_estimate(docs_ds)
     # band rows = docs × MINHASH_BANDS narrow rows; the verify join holds
@@ -841,9 +840,8 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
         # corpus → hash band buckets into nb_band coarse groups so pair
         # expansion pays Python overhead per COARSE group only (the
         # bucket_agg lesson), with vectorized run detection inside
-        h = t["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = (splitmix64(h) % np.uint64(nb_band)).astype(np.int32)
-        return t.append_column("__bucket", pa.array(b))
+        h = t["band_hash"].to_numpy(zero_copy_only=False)
+        return t.append_column("__bucket", pa.array(_route(h, nb_band)))
 
     bands = (docs_ds.map_batches(lambda t: minhash_band_rows(t, n), batch_format="pyarrow")
              .map_batches(add_band_bucket, batch_format="pyarrow"))
