@@ -17,7 +17,11 @@ corpus pipeline needs.  Shapes:
   length filter and the PPJoin positional filter.  Survivors are
   verified exactly by a doc-keyed join on flat (doc_id, hash) rows.  A
   hot shingle pairs only the docs whose prefix holds it, so no df cap
-  exists (only the top-k descent's last step, t = 0, takes whole sets).
+  exists.  At low t (always at t = 0) the prefix is most of the set and
+  verifying would move more rows than counting every shared shingle of
+  whole sets (Σ df·(df−1)/2 meetings, known from the df exchange); the
+  join then counts instead — the all-pairs plan, taken only when it is
+  the smaller one.
   Hash sets stand in for shingle-string sets: a false "shared" shingle
   needs a 64-bit collision, probability ≤ m²/2^65 for m distinct
   shingles corpus-wide (~3·10^-8 at m = 10^6).
@@ -138,7 +142,8 @@ def exact_dedup(docs_ds):
 # Every union-join exchange below carries this one row shape.  A doc row
 # (``pos`` ≥ 0) is one distinct shingle hash of ``doc_id``: ``n`` is the
 # doc's shingle-set size, ``pos`` the shingle's rank in the doc's
-# rarest-first order (its df, on the way into the ranking exchange).  A
+# rarest-first order (its df, on the way into the ranking exchange), and
+# ``other`` the shingle's df once ranked (0 on MinHash's verify side).  A
 # pair row (``pos`` < 0) stands for the candidate pair (doc_id, other) in
 # the exchange keyed on ``doc_id``.
 SIDE_SCHEMA = pa.schema([
@@ -207,11 +212,11 @@ def _doc_rows(t: pa.Table, n: int, nb: int, by_doc: bool) -> pa.Table:
                  _route(d if by_doc else h, nb))
 
 
-def _pair_rows(t: pa.Table, nb: int) -> pa.Table:
-    """Candidate (doc_a, doc_b) → pair rows keyed on doc_a."""
-    a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-    b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return _side(a, np.zeros(len(a), np.uint64), np.zeros(len(a), np.int64),
+def _pair_rows(a: np.ndarray, b: np.ndarray, nb: int, n_a=None) -> pa.Table:
+    """Candidate pairs (doc_a < doc_b) → pair rows keyed on doc_a; ``n``
+    holds |doc_a| where the caller knows it (0 otherwise)."""
+    z = np.zeros(len(a), np.int64)
+    return _side(a, np.zeros(len(a), np.uint64), z if n_a is None else n_a,
                  np.full(len(a), -1, np.int64), _route(a, nb), other=b)
 
 
@@ -260,18 +265,17 @@ def _score_b(g: dict, t: float) -> pa.Table:
     })
 
 
-def _verify_pairs(cand_ds, doc_rows, t: float, nb: int):
+def _verify_pairs(pairs, doc_rows, t: float, nb: int):
     """Exact Jaccard of candidate pairs → PAIR_SCORE rows with
     ``jaccard >= t`` (and at least one shared shingle).
 
-    ``cand_ds`` holds (doc_a < doc_b) candidates, duplicates allowed;
-    ``doc_rows`` is the materialized doc-row Dataset keyed on doc id.
-    Two doc-keyed union-joins on flat (doc_id, hash) rows: round 1
-    dedups each pair and sends doc_a's hashes to doc_b's bucket, round 2
-    counts the ones doc_b also holds with one sort — no per-pair Python.
-    Each union input is materialized first: a lazy branch unioned into
-    the exchange stalls under a small object store."""
-    pairs = cand_ds.map_batches(lambda b: _pair_rows(b, nb), batch_format="pyarrow").materialize()
+    ``pairs`` holds materialized :func:`_pair_rows` candidates,
+    duplicates allowed; ``doc_rows`` is the materialized doc-row Dataset
+    keyed on doc id.  Two doc-keyed union-joins on flat (doc_id, hash)
+    rows: round 1 dedups each pair and sends doc_a's hashes to doc_b's
+    bucket, round 2 counts the ones doc_b also holds with one sort — no
+    per-pair Python.  Each union input is materialized first: a lazy
+    branch unioned into the exchange stalls under a small object store."""
     a_side = (doc_rows.union(pairs).groupby("__bucket")
               .map_groups(lambda g: _attach_a(g, nb), batch_format="numpy")
               .materialize())
@@ -283,12 +287,16 @@ def _verify_pairs(cand_ds, doc_rows, t: float, nb: int):
 
 
 def _ranked_doc_rows(docs_ds, n: int):
-    """→ (doc rows with each shingle's rarest-first rank in ``pos``,
-    materialized and keyed on doc id; bucket count).
+    """→ (doc rows with each shingle's rarest-first rank in ``pos`` and
+    its df in ``other``, keyed on doc id; bucket count; shingle meetings
+    Σ df·(df−1)/2 over all shingles).
 
     Two exchanges: shingle-keyed to count df, doc-keyed to order each
     doc's shingles by (df, hash) — one global order, so prefixes of any
-    two docs are comparable."""
+    two docs are comparable.  The ranked rows (~one per distinct shingle
+    of every doc, 48 B each) are MATERIALIZED for the whole call: every
+    descent step and the verify join's doc side read them again, so at
+    scale this corpus-sized intermediate is pinned or spilled."""
     from coderag_ray.config import auto_buckets, dataset_rows_estimate
 
     # ~160 narrow rows per doc: 10k docs per bucket keeps groups ~10^6 rows
@@ -301,10 +309,10 @@ def _ranked_doc_rows(docs_ds, n: int):
     def rank(g: dict) -> pa.Table:
         d, h = g["doc_id"], g["hash"]
         o = np.lexsort((h, g["pos"], d))  # pos holds df here: rarest first
-        d, h, n = d[o], h[o], g["n"][o]
+        d, h, n, df = d[o], h[o], g["n"][o], g["pos"][o]
         starts, lens = _run_bounds(d)
         pos = np.arange(len(d)) - np.repeat(starts, lens)
-        return _side(d, h, n, pos, g["__bucket"][o])
+        return _side(d, h, n, pos, g["__bucket"][o], other=df)
 
     ranked = (
         docs_ds.map_batches(lambda t: _doc_rows(t, n, nb, by_doc=False), batch_format="pyarrow")
@@ -312,29 +320,42 @@ def _ranked_doc_rows(docs_ds, n: int):
         .groupby("__bucket").map_groups(rank, batch_format="numpy")
         .materialize()
     )
-    return ranked, nb
+    # each shingle contributes df rows, so Σ_rows (df − 1) = Σ df·(df − 1)
+    n_meet = ((ranked.sum("other") or 0) - ranked.count()) // 2
+    return ranked, nb, n_meet
 
 
-def _threshold_join(ranked, t: float, nb: int):
-    """PAIR_SCORE rows of every pair with ``jaccard >= t`` over
-    :func:`_ranked_doc_rows` output — prefix filter, then verify.
+def _by_hash(b: pa.Table, t: float, nb: int) -> pa.Table:
+    """Each doc's prefix of ``|s| − ⌈t·|s|⌉ + 1`` rarest shingles, re-keyed
+    on the shingle hash (``t = 0``: the whole set)."""
+    s = b["n"].to_numpy()
+    b = b.filter(b["pos"].to_numpy() < s - _ceil_lo(t * s) + 1)
+    return b.set_column(b.schema.get_field_index("__bucket"), "__bucket",
+                        pa.array(_route(b["hash"].to_numpy(), nb), type=pa.int32()))
 
-    A doc with s shingles emits its first ``s − ⌈t·s⌉ + 1`` (the
-    prefix): a pair with J ≥ t shares ≥ ⌈t·s⌉ shingles, so it shares its
-    rarest common shingle inside both prefixes.  Docs meet per prefix
-    token; a meeting survives the length filter (min ≥ ⌈t·max⌉) and the
-    PPJoin positional filter: at the first meeting (positions i₀, j₀)
-    every shared shingle lies at or after both, so
+
+def _candidates(ranked, t: float, nb: int, n_meet: int):
+    """Materialized candidate pair rows (:func:`_pair_rows`, ``n`` =
+    |doc_a|) of the prefix filter at ``t`` — or None when counting every shared shingle
+    (:func:`_count_pairs`) moves fewer rows than verifying them would.
+
+    A pair with J ≥ t shares ≥ ⌈t·s⌉ shingles, so its rarest common
+    shingle lies inside both prefixes.  Docs meet per prefix token; a
+    meeting survives the length filter (min ≥ ⌈t·max⌉) and the PPJoin
+    positional filter: at the first meeting (positions i₀, j₀) every
+    shared shingle lies at or after both, so
     ``min(|a|−i₀, |b|−j₀) ≥ ⌈t/(1+t)·(|a|+|b|)⌉``.  Later meetings have
     larger positions, so a pair passes at some meeting iff it passes at
-    its first — each meeting is tested alone."""
+    its first — each meeting is tested alone.
 
-    def prefix(b: pa.Table) -> pa.Table:
-        s = b["n"].to_numpy()
-        keep = b["pos"].to_numpy() < s - _ceil_lo(t * s) + 1
-        b = b.filter(keep)
-        return b.set_column(b.schema.get_field_index("__bucket"), "__bucket",
-                            pa.array(_route(b["hash"].to_numpy(), nb), type=pa.int32()))
+    Verifying costs |doc_a| rows per distinct candidate; counting costs
+    one row per shingle meeting over whole sets (``n_meet``).  At low t
+    the prefix is most of the set and candidates pile up (39k at t = 0.25
+    on a 600-doc corpus with shared headers: 6.4M verify rows against
+    5.2M meetings), so counting wins there; at t = 0 it always does.
+    Both plans are exact, so the choice never changes a result."""
+    if t <= 0:
+        return None
 
     def meet(g: dict) -> pa.Table:
         o = np.lexsort((g["doc_id"], g["hash"]))
@@ -343,13 +364,67 @@ def _threshold_join(ranked, t: float, nb: int):
         sa, sb = s[ia], s[ib]
         keep = ((np.minimum(sa, sb) >= _ceil_lo(t * np.maximum(sa, sb)))
                 & (np.minimum(sa - p[ia], sb - p[ib]) >= _ceil_lo(t / (1 + t) * (sa + sb))))
-        a, b = d[ia][keep], d[ib][keep]
-        return pa.table({"doc_a": pa.array(a, type=pa.int64()),
-                         "doc_b": pa.array(b, type=pa.int64())})
+        a, b, sa = d[ia][keep], d[ib][keep], sa[keep]
+        o = np.lexsort((b, a))
+        first = o[_run_bounds(a[o], b[o])[0]]  # one row per pair in this bucket
+        return _pair_rows(a[first], b[first], nb, sa[first])
 
-    cand = (ranked.map_batches(prefix, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(meet, batch_format="numpy"))
-    return _verify_pairs(cand, ranked, t, nb)
+    cand = (ranked.map_batches(lambda b: _by_hash(b, t, nb), batch_format="pyarrow")
+            .groupby("__bucket").map_groups(meet, batch_format="numpy")
+            .materialize())
+    return None if (cand.sum("n") or 0) >= n_meet else cand
+
+
+def _count_pairs(ranked, t: float, nb: int, n_meet: int):
+    """PAIR_SCORE rows with ``jaccard >= t`` by counting shared shingles:
+    whole sets meet per shingle, each bucket pre-aggregates its meetings
+    per pair, and a doc-keyed exchange sums them — no verify join.
+    Shingle buckets are sized by meetings (~4M per bucket), so a pair's
+    meetings mostly collapse to one row before the exchange."""
+    from coderag_ray.config import auto_buckets
+
+    nb_meet = auto_buckets(n_meet, target_rows=4_000_000, lo=1)
+
+    def count(g: dict) -> pa.Table:
+        o = np.lexsort((g["doc_id"], g["hash"]))
+        h, d, s = g["hash"][o], g["doc_id"][o], g["n"][o]
+        ia, ib = _run_pairs(*_run_bounds(h))  # d[ia] < d[ib]: ids are sorted in a run
+        ids, dense = np.unique(d, return_inverse=True)
+        key, cnt = np.unique(dense[ia] * len(ids) + dense[ib], return_counts=True)
+        ka, kb = key // len(ids), key % len(ids)
+        size = np.zeros(len(ids), np.int64)
+        size[dense] = s
+        a = ids[ka]
+        return pa.table({
+            "doc_a": pa.array(a, type=pa.int64()), "doc_b": pa.array(ids[kb], type=pa.int64()),
+            "n_common": pa.array(cnt, type=pa.int64()),
+            "n_a": pa.array(size[ka], type=pa.int64()), "n_b": pa.array(size[kb], type=pa.int64()),
+            "__bucket": pa.array(_route(a, nb), type=pa.int32()),
+        })
+
+    def merge(g: dict) -> pa.Table:
+        o = np.lexsort((g["doc_b"], g["doc_a"]))
+        a, b = g["doc_a"][o], g["doc_b"][o]
+        starts, _ = _run_bounds(a, b)
+        common = np.add.reduceat(g["n_common"][o], starts) if len(a) else np.empty(0, np.int64)
+        a, b, n_a, n_b = a[starts], b[starts], g["n_a"][o][starts], g["n_b"][o][starts]
+        jac = common / (n_a + n_b - common)
+        keep = jac >= t
+        return pa.table({
+            "doc_a": pa.array(a[keep], type=pa.int64()),
+            "doc_b": pa.array(b[keep], type=pa.int64()),
+            "n_common": pa.array(common[keep], type=pa.int64()),
+            "n_a": pa.array(n_a[keep], type=pa.int64()),
+            "n_b": pa.array(n_b[keep], type=pa.int64()),
+            "jaccard": pa.array(jac[keep], type=pa.float64()),
+        })
+
+    return schema_stable(
+        ranked.map_batches(lambda b: _by_hash(b, 0.0, nb_meet), batch_format="pyarrow")
+        .groupby("__bucket").map_groups(count, batch_format="numpy")
+        .groupby("__bucket").map_groups(merge, batch_format="numpy"),
+        PAIR_SCORE_SCHEMA,
+    )
 
 
 def _similar_pairs(docs_ds, n: int, t: float):
@@ -357,9 +432,14 @@ def _similar_pairs(docs_ds, n: int, t: float):
     n_a, n_b, jaccard) for every pair with ``jaccard >= t`` over the
     docs' word-n-gram shingle sets — the shared engine of
     :func:`ngram_jaccard_pairs`, :func:`near_dup_clusters` and the
-    MinHash recall check.  ``t = 0`` gives every pair sharing a shingle."""
-    ranked, nb = _ranked_doc_rows(docs_ds, n)
-    return _threshold_join(ranked, t, nb)
+    MinHash recall check.  ``t = 0`` gives every pair sharing a shingle.
+    Prefix-filtered candidates are verified (:func:`_verify_pairs`)
+    unless counting all shared shingles is cheaper."""
+    ranked, nb, n_meet = _ranked_doc_rows(docs_ds, n)
+    cand = _candidates(ranked, t, nb, n_meet)
+    if cand is None:
+        return _count_pairs(ranked, t, nb, n_meet)
+    return _verify_pairs(cand, ranked, t, nb)
 
 
 def _no_cap(max_shingle_df) -> None:
@@ -378,19 +458,25 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, top: int = 50,
     integer ratio evaluated in float64, so ordering is reproducible
     bit-for-bit in any engine.
 
-    Threshold descent over :data:`TOPK_DESCENT`: the threshold join
-    (:func:`_threshold_join`) runs at each t in turn over one shingling
-    pass, and stops at the first t with at least ``top`` pairs.  That is
-    exact — every top-``top`` pair has ``jaccard >= t`` — and the
-    distributed ``sort().limit()`` tail brings only ``top`` rows to the
-    driver.  Pairs key on the (doc_a, doc_b) column pair throughout, so
+    Threshold descent over :data:`TOPK_DESCENT`: the prefix-filtered
+    join (:func:`_candidates` + :func:`_verify_pairs`) runs at each t in
+    turn over one shingling pass, and stops at the first t with at least
+    ``top`` pairs.  That is exact — every top-``top`` pair has
+    ``jaccard >= t``.  Once counting all shared shingles is the cheaper
+    plan (always by t = 0), one :func:`_count_pairs` pass scores every
+    pair and ends the descent.  The distributed ``sort().limit()`` tail
+    brings only ``top`` rows to the driver.  Pairs key on the (doc_a, doc_b) column pair throughout, so
     63-bit doc ids survive.  ``max_shingle_df`` must be None (the
     hot-shingle cap is gone; the join is exact without it).
     """
     _no_cap(max_shingle_df)
-    ranked, nb = _ranked_doc_rows(docs_ds, n)
+    ranked, nb, n_meet = _ranked_doc_rows(docs_ds, n)
     for t in TOPK_DESCENT:
-        scored = _threshold_join(ranked, t, nb).materialize()
+        cand = _candidates(ranked, t, nb, n_meet)
+        if cand is None:  # counted pairs are all pairs: exact for any top
+            scored = _count_pairs(ranked, 0.0, nb, n_meet)
+            break
+        scored = _verify_pairs(cand, ranked, t, nb).materialize()
         if scored.count() >= top:
             break
     pdf = (
@@ -805,6 +891,12 @@ def minhash_band_rows(t: pa.Table, n: int = 3) -> pa.Table:
     )
 
 
+def _empty_pairs() -> pa.Table:
+    return pa.table({"doc_a": pa.array([], type=pa.int64()),
+                     "doc_b": pa.array([], type=pa.int64()),
+                     "jaccard": pa.array([], type=pa.float64())})
+
+
 def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
                       max_bucket_docs: int = 1024):
     """Near-dup pairs via MinHash-LSH candidates + exact-Jaccard verify.
@@ -822,10 +914,15 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
     2. exact-Jaccard verify is :func:`_verify_pairs`, the doc-keyed
        join the n-gram threshold join uses: it dedups the pairs the
        bands repeat and counts shared shingle hashes (the same 64-bit
-       hash family the signatures use) with one sort per bucket.  Only
-       the final verified pairs touch the driver.
+       hash family the signatures use) with one sort per bucket.  Its
+       doc side is a semi-join: only candidate docs are shingled, via a
+       broadcast of the distinct candidate doc IDs (bounded by the bucket
+       cap).  Only those IDs and the final verified pairs touch the
+       driver.
     """
     import logging
+
+    import ray
 
     from coderag_ray.config import auto_buckets, dataset_rows_estimate
 
@@ -861,20 +958,28 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
                     int(over.sum()), max_bucket_docs)
                 lens = np.minimum(lens, max_bucket_docs)
         ia, ib = _run_pairs(starts, lens)
-        return pa.table({"doc_a": pa.array(ids[ia], type=pa.int64()),
-                         "doc_b": pa.array(ids[ib], type=pa.int64())})
+        return _pair_rows(ids[ia], ids[ib], nb_join)
 
-    cand = bands.groupby("__bucket").map_groups(pairs_of_bucket, batch_format="numpy")
-    doc_rows = docs_ds.map_batches(lambda t: _doc_rows(t, n, nb_join, by_doc=True),
-                                   batch_format="pyarrow").materialize()
+    cand = (bands.groupby("__bucket").map_groups(pairs_of_bucket, batch_format="numpy")
+            .materialize())  # read twice: candidate ids, then the verify join
+    # distinct candidate doc IDs — ints only, bounded by the bucket cap
+    id_chunks = [np.unique(np.r_[b["doc_id"].to_numpy(), b["other"].to_numpy()])
+                 for b in cand.iter_batches(batch_format="pyarrow") if b.num_rows]
+    if not id_chunks:
+        return _empty_pairs()
+    need_ref = ray.put(pa.array(np.unique(np.concatenate(id_chunks)), type=pa.int64()))
+
+    def candidate_doc_rows(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(pc.cast(t["doc_id"], pa.int64()), value_set=ray.get(need_ref)))
+        return _doc_rows(t, n, nb_join, by_doc=True)
+
+    doc_rows = docs_ds.map_batches(candidate_doc_rows, batch_format="pyarrow").materialize()
     verified_ds = _verify_pairs(cand, doc_rows, jaccard_threshold, nb_join).materialize()
     global LAST_MINHASH_STATS
     LAST_MINHASH_STATS = verified_ds.stats()  # per-operator audit (bench)
     verified = verified_ds.to_pandas()  # final verified pairs only — small
     if len(verified) == 0:
-        return pa.table({"doc_a": pa.array([], type=pa.int64()),
-                         "doc_b": pa.array([], type=pa.int64()),
-                         "jaccard": pa.array([], type=pa.float64())})
+        return _empty_pairs()
     verified = verified.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     verified["jaccard"] = round6(verified["jaccard"].to_numpy())
     return pa.Table.from_pandas(verified[["doc_a", "doc_b", "jaccard"]], preserve_index=False)

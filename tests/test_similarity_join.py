@@ -124,6 +124,47 @@ def test_threshold_join_keeps_exact_boundary_pairs(ray_session):
         assert [r[:3] for r in _brute_pairs(texts, range(3)) if r[5] >= t] == [(0, 1, n_common)]
 
 
+def test_verify_and_count_plans_agree(ray_session, monkeypatch):
+    """The join verifies prefix candidates or counts every shared
+    shingle, whichever moves fewer rows; both plans are exact, so each
+    must give the brute-force rows at any t, also when a pair's
+    meetings fall into several shingle buckets and are summed later."""
+    import ray.data
+
+    import coderag_ray.config
+    from coderag_ray.pipelines.dedup import (_candidates, _count_pairs, _ranked_doc_rows,
+                                             _verify_pairs)
+
+    texts = [_HEADER + "p q r s t u"] * 3 + [_HEADER + "p q r s t v", _HEADER + "p q x"]
+    texts += [_HEADER + f"x{i} y{i} z{i}" for i in range(6)] + ["", "solo"]
+    ranked, nb, n_meet = _ranked_doc_rows(ray.data.from_arrow(_table(texts)), 3)
+    # a pair of docs meets once per shared shingle
+    assert n_meet == sum(r[2] for r in _brute_pairs(texts, range(len(texts))))
+    for t in (0.2, 0.5, 0.7, 1.0):
+        want = [r for r in _brute_pairs(texts, range(len(texts))) if r[5] >= t]
+        cand = _candidates(ranked, t, nb, n_meet=2**62)  # never cheaper to count
+        verified = sorted(_rows(_verify_pairs(cand, ranked, t, nb)))
+        counted = sorted(_rows(_count_pairs(ranked, t, nb, n_meet)))
+        assert verified == counted == want, t
+    assert _candidates(ranked, 0.0, nb, n_meet) is None  # t = 0 always counts
+    # a corpus this small counts in one shingle bucket; force eight
+    monkeypatch.setattr(coderag_ray.config, "auto_buckets", lambda *a, **kw: 8)
+    want = [r for r in _brute_pairs(texts, range(len(texts))) if r[5] >= 0.2]
+    assert sorted(_rows(_count_pairs(ranked, 0.2, nb, n_meet))) == want
+
+
+def test_minhash_without_candidates_is_typed_empty(ray_session):
+    import ray.data
+
+    from coderag_ray.pipelines.dedup import minhash_lsh_pairs
+
+    texts = [f"a{i} b{i} c{i} d{i} e{i}" for i in range(20)]
+    out = minhash_lsh_pairs(ray.data.from_arrow(_table(texts)))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                                    ("jaccard", pa.float64())])
+
+
 def test_driver_collects_are_bounded(ray_session, monkeypatch):
     """ngram_jaccard_pairs brings at most ``top`` rows to the driver at
     any descent step; near_dup_clusters below ``edge_budget`` brings only
