@@ -252,17 +252,16 @@ def _score_b(g: dict, t: float) -> pa.Table:
     a, b, n_a, n_b = other[hit], d[hit], n[hit], n[head[hit]]
     o = np.lexsort((b, a))
     starts, common = _run_bounds(a[o], b[o])
-    a, b, n_a, n_b = a[o][starts], b[o][starts], n_a[o][starts], n_b[o][starts]
+    return _pair_scores(a[o][starts], b[o][starts], common, n_a[o][starts], n_b[o][starts], t)
+
+
+def _pair_scores(a, b, common, n_a, n_b, t: float) -> pa.Table:
+    """PAIR_SCORE rows of the pairs with ``jaccard >= t``."""
     jac = common / (n_a + n_b - common)
     keep = jac >= t
-    return pa.table({
-        "doc_a": pa.array(a[keep], type=pa.int64()),
-        "doc_b": pa.array(b[keep], type=pa.int64()),
-        "n_common": pa.array(common[keep], type=pa.int64()),
-        "n_a": pa.array(n_a[keep], type=pa.int64()),
-        "n_b": pa.array(n_b[keep], type=pa.int64()),
-        "jaccard": pa.array(jac[keep], type=pa.float64()),
-    })
+    cols = (a, b, common, n_a, n_b, jac)
+    return pa.Table.from_arrays([pa.array(c[keep], type=f.type) for c, f in zip(cols, PAIR_SCORE_SCHEMA)],
+                                schema=PAIR_SCORE_SCHEMA)
 
 
 def _verify_pairs(pairs, doc_rows, t: float, nb: int):
@@ -336,8 +335,9 @@ def _by_hash(b: pa.Table, t: float, nb: int) -> pa.Table:
 
 def _candidates(ranked, t: float, nb: int, n_meet: int):
     """Materialized candidate pair rows (:func:`_pair_rows`, ``n`` =
-    |doc_a|) of the prefix filter at ``t`` — or None when counting every shared shingle
-    (:func:`_count_pairs`) moves fewer rows than verifying them would.
+    |doc_a|) of the prefix filter at ``t`` — or None when counting every
+    shared shingle (:func:`_count_pairs`) moves fewer rows than
+    verifying them would.
 
     A pair with J ≥ t shares ≥ ⌈t·s⌉ shingles, so its rarest common
     shingle lies inside both prefixes.  Docs meet per prefix token; a
@@ -348,12 +348,10 @@ def _candidates(ranked, t: float, nb: int, n_meet: int):
     larger positions, so a pair passes at some meeting iff it passes at
     its first — each meeting is tested alone.
 
-    Verifying costs |doc_a| rows per distinct candidate; counting costs
-    one row per shingle meeting over whole sets (``n_meet``).  At low t
-    the prefix is most of the set and candidates pile up (39k at t = 0.25
-    on a 600-doc corpus with shared headers: 6.4M verify rows against
-    5.2M meetings), so counting wins there; at t = 0 it always does.
-    Both plans are exact, so the choice never changes a result."""
+    Verifying costs |doc_a| rows per distinct candidate, counting one row
+    per shingle meeting of whole sets (``n_meet``); at low t candidates
+    pile up and counting wins, at t = 0 always.  Both plans are exact, so
+    the choice never changes a result (docs/PERF_NOTES.md)."""
     if t <= 0:
         return None
 
@@ -407,17 +405,8 @@ def _count_pairs(ranked, t: float, nb: int, n_meet: int):
         a, b = g["doc_a"][o], g["doc_b"][o]
         starts, _ = _run_bounds(a, b)
         common = np.add.reduceat(g["n_common"][o], starts) if len(a) else np.empty(0, np.int64)
-        a, b, n_a, n_b = a[starts], b[starts], g["n_a"][o][starts], g["n_b"][o][starts]
-        jac = common / (n_a + n_b - common)
-        keep = jac >= t
-        return pa.table({
-            "doc_a": pa.array(a[keep], type=pa.int64()),
-            "doc_b": pa.array(b[keep], type=pa.int64()),
-            "n_common": pa.array(common[keep], type=pa.int64()),
-            "n_a": pa.array(n_a[keep], type=pa.int64()),
-            "n_b": pa.array(n_b[keep], type=pa.int64()),
-            "jaccard": pa.array(jac[keep], type=pa.float64()),
-        })
+        return _pair_scores(a[starts], b[starts], common, g["n_a"][o][starts],
+                            g["n_b"][o][starts], t)
 
     return schema_stable(
         ranked.map_batches(lambda b: _by_hash(b, 0.0, nb_meet), batch_format="pyarrow")
@@ -465,9 +454,10 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, top: int = 50,
     ``jaccard >= t``.  Once counting all shared shingles is the cheaper
     plan (always by t = 0), one :func:`_count_pairs` pass scores every
     pair and ends the descent.  The distributed ``sort().limit()`` tail
-    brings only ``top`` rows to the driver.  Pairs key on the (doc_a, doc_b) column pair throughout, so
-    63-bit doc ids survive.  ``max_shingle_df`` must be None (the
-    hot-shingle cap is gone; the join is exact without it).
+    brings only ``top`` rows to the driver.  Pairs key on the (doc_a,
+    doc_b) column pair throughout, so 63-bit doc ids survive.
+    ``max_shingle_df`` must be None (the hot-shingle cap is gone; the
+    join is exact without it).
     """
     _no_cap(max_shingle_df)
     ranked, nb, n_meet = _ranked_doc_rows(docs_ds, n)
@@ -891,12 +881,6 @@ def minhash_band_rows(t: pa.Table, n: int = 3) -> pa.Table:
     )
 
 
-def _empty_pairs() -> pa.Table:
-    return pa.table({"doc_a": pa.array([], type=pa.int64()),
-                     "doc_b": pa.array([], type=pa.int64()),
-                     "jaccard": pa.array([], type=pa.float64())})
-
-
 def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
                       max_bucket_docs: int = 1024):
     """Near-dup pairs via MinHash-LSH candidates + exact-Jaccard verify.
@@ -966,7 +950,7 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
     id_chunks = [np.unique(np.r_[b["doc_id"].to_numpy(), b["other"].to_numpy()])
                  for b in cand.iter_batches(batch_format="pyarrow") if b.num_rows]
     if not id_chunks:
-        return _empty_pairs()
+        return PAIR_SCORE_SCHEMA.empty_table().select(["doc_a", "doc_b", "jaccard"])
     need_ref = ray.put(pa.array(np.unique(np.concatenate(id_chunks)), type=pa.int64()))
 
     def candidate_doc_rows(t: pa.Table) -> pa.Table:
@@ -979,7 +963,7 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
     LAST_MINHASH_STATS = verified_ds.stats()  # per-operator audit (bench)
     verified = verified_ds.to_pandas()  # final verified pairs only — small
     if len(verified) == 0:
-        return _empty_pairs()
+        return PAIR_SCORE_SCHEMA.empty_table().select(["doc_a", "doc_b", "jaccard"])
     verified = verified.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     verified["jaccard"] = round6(verified["jaccard"].to_numpy())
     return pa.Table.from_pandas(verified[["doc_a", "doc_b", "jaccard"]], preserve_index=False)
