@@ -5,7 +5,7 @@ A from-scratch rebuild of the capabilities of matperez/coderag
 distributed inverted-index build + BM25 query pipeline over Parquet
 tables of source code, expressed entirely in Ray Data
 (``ray.data.Dataset`` → ``map_batches`` over zero-copy Arrow batches,
-``groupby().map_groups`` for the partition build, actor pools for
+a map-side run-spill shuffle for the partition build, actor pools for
 stateful query scoring).
 
 Layout

@@ -5,7 +5,7 @@ markdown output, plus ``status`` (≈ ``get_indexing_status``).
 
 Usage:
     python -m coderag_ray.cli build  <docs.parquet|dir> <index_dir> [--tokenizer code|simple] [--partitions N]
-    python -m coderag_ray.cli search <index_dir> "query text" [-k 10] [--ext .py] [--path src/] [--exclude test] [--wand] [--json]
+    python -m coderag_ray.cli search <index_dir> "query text" [-k 10] [--ext .py] [--path src/] [--exclude test] [--mode bm25|cosine] [--json]
     python -m coderag_ray.cli status <index_dir>
 
 Owns its Ray session (guarded init; the driver-facing ``__ray_entry__``
@@ -121,8 +121,7 @@ def cmd_search(args) -> int:
             path_filter=args.path,
             exclude_paths=args.exclude or None,
         )
-    res = search(reader, args.query, args.k, filters=filters, use_wand=args.wand,
-                 mode=args.mode)
+    res = search(reader, args.query, args.k, filters=filters, mode=args.mode)
     if args.json:
         print(json.dumps(res.to_pylist(), default=str))
         return 0
@@ -201,7 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--ext", action="append")
     s.add_argument("--path")
     s.add_argument("--exclude", action="append")
-    s.add_argument("--wand", action="store_true")
     s.add_argument("--mode", default="bm25", choices=["bm25", "cosine"])
     s.add_argument("--json", action="store_true")
     s.set_defaults(fn=cmd_search)

@@ -181,7 +181,6 @@ class IndexConfig:
     chunk_overlap: int = 100  # chars — embeddings.ts:267
     max_file_size: int = 1024 * 1024  # bytes — indexer.ts:100
     num_partitions: int = 16
-    shuffle: str = "runs"  # "runs" (map-side bucketed spill, default) | "groupby" (Ray sort shuffle)
     k1: float = BM25_K1
     b: float = BM25_B
     posting_block: int = POSTING_BLOCK

@@ -48,7 +48,8 @@ def splitmix64(x: np.ndarray | int):
 
 
 def part_for_doc(doc_id: np.ndarray | int, num_partitions: int):
-    out = splitmix64(doc_id) % np.uint64(num_partitions)
+    # uint64 on both sides: a Python int % np.uint64 goes through float64
+    out = splitmix64(np.asarray(doc_id, dtype=np.uint64)) % np.uint64(num_partitions)
     return out.astype(np.int64) if isinstance(doc_id, np.ndarray) else int(out)
 
 

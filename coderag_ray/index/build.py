@@ -10,7 +10,8 @@ reference's per-50-file loop + 4 global SQL finalize passes
       → [fingerprint pass: tiny groupby → resume decision]
       → map_batches(chunk)                  # 1 doc → N chunk rows
       → map_batches(tokenize)               # vectorized term lists
-      → groupby(part_id).map_groups(write_partition)   # the one wide shuffle
+      → run shuffle: spill runs by part_id, one write_partition task per
+        partition (index/run_shuffle.py)            # the one wide shuffle
     + groupby(term) over per-partition (term, df_local) partials → global IDF
 
 Scale notes (the parts that must survive 100 TB / 256 nodes):
@@ -50,7 +51,7 @@ from coderag_ray.config import SCHEMA_VERSION, IndexConfig
 from coderag_ray.functions.bm25 import avg_doc_length, idf_smoothed
 from coderag_ray.functions.hashing import sha_prefix_u32
 from coderag_ray.index import manifest as mf
-from coderag_ray.index.partition import write_partition
+from coderag_ray.index.run_shuffle import run_shuffle_build
 from coderag_ray.stages.chunk import make_chunker
 from coderag_ray.stages.ingest import make_ingest, make_part_filter
 from coderag_ray.stages.tokenize import make_tokenizer_stage
@@ -317,32 +318,14 @@ def build_index(
         else:
             tokenized = chunked.map_batches(make_tokenizer_stage(config), batch_format="pyarrow", batch_size=None)
 
-        idx_dir, cfg = index_dir, config
-
-        if config.shuffle == "runs":
-            from coderag_ray.index.run_shuffle import run_shuffle_build
-
-            try:
-                # metadata-based estimate (cheap for a parquet read);
-                # engages the /dev/shm capacity guard in the spill path
-                est_bytes = docs.size_bytes()
-            except Exception:
-                est_bytes = None
-            results = run_shuffle_build(tokenized, index_dir, config,
-                                        estimated_bytes=est_bytes)
-        elif config.shuffle == "groupby":
-
-            def write_group(group: pa.Table) -> pa.Table:
-                row = write_partition(group, idx_dir, cfg)
-                return pa.table({k: [v] for k, v in row.items()})
-
-            results = (
-                tokenized.groupby("part_id")
-                .map_groups(write_group, batch_format="pyarrow")
-                .take_all()
-            )
-        else:
-            raise ValueError(f"unknown shuffle {config.shuffle!r}")
+        try:
+            # metadata-based estimate (cheap for a parquet read);
+            # engages the /dev/shm capacity guard in the spill path
+            est_bytes = docs.size_bytes()
+        except Exception:
+            est_bytes = None
+        results = run_shuffle_build(tokenized, index_dir, config,
+                                    estimated_bytes=est_bytes)
         _phase("tokenize_shuffle_write")
         for row in results:
             part_rows[int(row["part_id"])] = {k: v for k, v in row.items() if k != "part_id"}

@@ -1,6 +1,6 @@
-"""Partition writer — one index partition from one ``map_groups`` group.
+"""Partition writer — one index partition from one run-shuffle merge.
 
-Each group holds every tokenized chunk routed to one ``part_id``
+Each merged group holds every tokenized chunk routed to one ``part_id``
 (document-partitioned index).  The writer is the Ray-native replacement
 for the reference's posting-row store + per-term SQL GROUP BY
 (``/root/reference/packages/core/src/storage-persistent.ts:488-567``

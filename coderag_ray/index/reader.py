@@ -28,6 +28,9 @@ from coderag_ray.config import IndexConfig
 from coderag_ray.index import manifest as mf
 from coderag_ray.index.partition import part_dirname
 
+# the postings.parquet columns the query path scores from
+POSTING_QUERY_COLUMNS = ["term", "df_local", "doc_buf", "freq_buf"]
+
 
 @dataclass
 class PartitionHandle:
@@ -275,7 +278,7 @@ class IndexReader:
         def load_part(pid: int):
             tbl = pq.read_table(
                 os.path.join(self.part_dir(pid), "postings.parquet"),
-                columns=["term", "df_local", "doc_buf", "freq_buf"],
+                columns=POSTING_QUERY_COLUMNS,
             )
             terms = tbl["term"].to_pylist()
             df = tbl["df_local"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -423,7 +426,9 @@ class IndexReader:
         return h.magnitudes
 
     def postings_for_terms(self, part_id: int, terms: list[str]) -> dict[str, dict]:
-        """term → posting-list record (encoded buffers + block metadata).
+        """term → posting-list record (``POSTING_QUERY_COLUMNS``: df and
+        the encoded doc/freq buffers; the block-max skip columns stay on
+        disk).
 
         Term-sorted parquet + row-group statistics make this an
         O(#query-terms) selective read, the analog of the reference's
@@ -460,14 +465,8 @@ class IndexReader:
             )
             found = set()
             if rgs:
-                tbl = pf.read_row_groups(rgs)
-                tbl = tbl.filter(pc.field("term").isin(missing))
-                for i in range(tbl.num_rows):
-                    rec = {name: tbl[name][i].as_py() for name in
-                           ("term", "df_local", "doc_buf", "freq_buf")}
-                    for name in ("block_last_ord", "block_max_freq", "block_min_dl",
-                                 "block_doc_off", "block_freq_off"):
-                        rec[name] = np.asarray(tbl[name][i].as_py(), dtype=np.int64)
+                tbl = pf.read_row_groups(rgs, columns=POSTING_QUERY_COLUMNS)
+                for rec in tbl.filter(pc.field("term").isin(missing)).to_pylist():
                     out[rec["term"]] = rec
                     found.add(rec["term"])
                     self._post_cache[(part_id, rec["term"])] = rec

@@ -1,22 +1,21 @@
 """Map-side bucketed spill shuffle for the partition build.
 
-Alternative to ``groupby(part_id).map_groups`` (config ``shuffle="runs"``,
-the default): each tokenize-output batch is split by ``part_id`` and
-appended as a small parquet "run" under ``_runs/part=NNNNN/``; a second
-wave of per-partition merge tasks reads exactly its partition's runs and
-calls the same :func:`write_partition`.  This is the FS-mediated hash
-shuffle used by large-scale index builds (map-side partitioned spill to
-shared storage + per-bucket merge): no all-to-all through the object
-store, each byte is written once and read once, and both waves scale
-linearly with workers.  On a multi-node cluster the run directory lives
+The build's one exchange: each tokenize-output batch is split by
+``part_id`` and appended as a small parquet "run" under
+``_runs/part=NNNNN/``; a second wave of per-partition merge tasks reads
+exactly its partition's runs and calls :func:`write_partition`.  This
+is the FS-mediated hash shuffle used by large-scale index builds
+(map-side partitioned spill to shared storage + per-bucket merge): no
+all-to-all through the object store, each byte is written once and read
+once, and both waves scale linearly with workers.  On a multi-node cluster the run directory lives
 on the shared filesystem/object store the index itself targets.
 
 Retry safety: run filenames are deterministic in the batch's first row
 (min (doc_id, chunk_id)), so a retried map task overwrites its own runs
 instead of duplicating rows; files are written via tmp + atomic rename.
 
-The Ray-native sort shuffle remains available as ``shuffle="groupby"``;
-both produce byte-identical partitions (asserted in tests).
+Partition contents are checked against the single-process
+:class:`~coderag_ray.oracle.OracleIndex` in tests.
 """
 
 from __future__ import annotations

@@ -100,9 +100,9 @@ def create_cache_key(query: str, *, limit: int | None = None,
     """``createCacheKey`` (``search-cache.ts:139-155``): lowercased
     trimmed query | limit (default 10) | sorted extensions | path filter
     | sorted excludes, pipe-joined.  ``extra`` canonically serializes any
-    engine-side options beyond the reference's key (mode, use_wand,
-    min_score, ...) so e.g. a cosine query never returns a cached bm25
-    result for the same text."""
+    engine-side options beyond the reference's key (mode, min_score, ...)
+    so e.g. a cosine query never returns a cached bm25 result for the
+    same text."""
     parts = [
         query.lower().strip(),
         str(limit) if limit is not None else "10",
@@ -118,8 +118,8 @@ def create_cache_key(query: str, *, limit: int | None = None,
 # search() kwarg defaults — kwargs equal to these are dropped from the
 # cache key so `search(q)` and `search(q, mode="bm25")` share one entry
 _SEARCH_KWARG_DEFAULTS = {
-    "mode": "bm25", "use_wand": False, "min_score": 0.0,
-    "with_doc_columns": True, "parallel": False, "candidate_cap": None,
+    "mode": "bm25", "min_score": 0.0, "with_doc_columns": True,
+    "candidate_cap": None,
 }
 
 

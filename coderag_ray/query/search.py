@@ -23,10 +23,21 @@ in-memory ``searchDocuments`` (``tfidf.ts:354-427``):
   holds a complete local index) and merged by the same tie-break, so
   results are identical at any partition count.
 
-Per-query execution is a driver-side loop (or ``ray.remote`` fan-out
-with ``parallel=True``) over O(P) partitions — at 256-node scale this
-becomes one scatter-gather RPC per scorer actor holding its partition
-shard, which :class:`BatchScorer` models for batch evaluation.
+Three exact scorers, chosen from what the call can see, return the
+same top-k bitwise:
+
+- :func:`_search_compact` — resident reader, ``mode="bm25"``, no
+  filters: champion lists with the exhaustive scatter as fallback over
+  the merged preloaded index (the serving path);
+- :func:`_partition_scores` — result filters, or a reader that is not
+  resident (``preload="never"`` or postings over the preload cap):
+  exhaustive scoring of each partition's posting lists, read from disk;
+- :func:`_partition_scores_cosine` — ``mode="cosine"``.
+
+Per-query execution is a driver-side loop over O(P) partitions — at
+256-node scale this becomes one scatter-gather RPC per scorer actor
+holding its partition shard (:mod:`coderag_ray.query.sharded`), which
+:class:`BatchScorer` models for batch evaluation.
 """
 
 from __future__ import annotations
@@ -56,6 +67,31 @@ def dedupe_query_tokens(tokens: list[str]) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
+def _decoded(rec: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(ordinals, freqs) of one posting record, decoded once and kept on
+    the cached record."""
+    ords = rec.get("_ords")
+    if ords is None:
+        ords = rec["_ords"] = varint.decode_deltas(rec["doc_buf"]).astype(np.int64)
+        rec["_freqs"] = varint.decode(rec["freq_buf"]).astype(np.float64)
+    return ords, rec["_freqs"]
+
+
+def _filter_keep(reader: IndexReader, part_id: int, cand: np.ndarray,
+                 filters: SearchFilters) -> np.ndarray:
+    """Boolean mask over ``cand`` of the chunks whose path passes the
+    result filters (indexer.ts:1318-1333)."""
+    paths = reader.partition_paths(part_id)[cand]
+    keep = np.ones(len(cand), dtype=bool)
+    if filters.file_extensions:
+        keep &= np.array([any(p.endswith(e) for e in filters.file_extensions) for p in paths])
+    if filters.path_filter:
+        keep &= np.array([filters.path_filter in p for p in paths])
+    if filters.exclude_paths:
+        keep &= np.array([not any(x in p for x in filters.exclude_paths) for p in paths])
+    return keep
+
+
 def _partition_scores(
     reader: IndexReader,
     part_id: int,
@@ -77,26 +113,14 @@ def _partition_scores(
         rec = postings.get(tok)
         if rec is None:
             continue
-        ords = rec.get("_ords")
-        if ords is None:
-            ords = rec["_ords"] = varint.decode_deltas(rec["doc_buf"]).astype(np.int64)
-            rec["_freqs"] = varint.decode(rec["freq_buf"]).astype(np.float64)
-        freqs = rec["_freqs"]
+        ords, freqs = _decoded(rec)
         idf = idf_map[tok][1]
         scores[ords] += bm25_term_score(freqs, idf, dls_eff[ords], reader.avgdl)
         matched[ords] |= 1 << qi
 
     cand = np.flatnonzero(matched)
     if len(cand) and filters is not None:
-        paths = reader.partition_paths(part_id)[cand]
-        keep = np.ones(len(cand), dtype=bool)
-        if filters.file_extensions:
-            keep &= np.array([any(p.endswith(e) for e in filters.file_extensions) for p in paths])
-        if filters.path_filter:
-            keep &= np.array([filters.path_filter in p for p in paths])
-        if filters.exclude_paths:
-            keep &= np.array([not any(x in p for x in filters.exclude_paths) for p in paths])
-        cand = cand[keep]
+        cand = cand[_filter_keep(reader, part_id, cand, filters)]
     return cand, scores[cand], matched[cand]
 
 
@@ -146,29 +170,16 @@ def _partition_scores_cosine(
         rec = postings.get(tok)
         if rec is None or q_tfidf.get(tok, 0.0) == 0.0:
             continue
-        ords = rec.get("_ords")
-        if ords is None:
-            ords = rec["_ords"] = varint.decode_deltas(rec["doc_buf"]).astype(np.int64)
-            rec["_freqs"] = varint.decode(rec["freq_buf"]).astype(np.float64)
-        freqs = rec["_freqs"]
+        ords, freqs = _decoded(rec)
         doc_tfidf = (freqs / dls_safe[ords]) * idf_map[tok][1]
         dot[ords] += q_tfidf[tok] * doc_tfidf
         matched[ords] |= 1 << qi
 
     cand = np.flatnonzero(matched)
+    if len(cand) and filters is not None:
+        cand = cand[_filter_keep(reader, part_id, cand, filters)]
     denom = qmag * mags[cand]
     scores = np.where(denom > 0, dot[cand] / np.where(denom > 0, denom, 1.0), 0.0)
-    if len(cand) and filters is not None:
-        paths = reader.partition_paths(part_id)[cand]
-        keep = np.ones(len(cand), dtype=bool)
-        if filters.file_extensions:
-            keep &= np.array([any(p.endswith(e) for e in filters.file_extensions) for p in paths])
-        if filters.path_filter:
-            keep &= np.array([filters.path_filter in p for p in paths])
-        if filters.exclude_paths:
-            keep &= np.array([not any(x in p for x in filters.exclude_paths) for p in paths])
-        m = matched[cand][keep]
-        return cand[keep], scores[keep], m
     return cand, scores, matched[cand]
 
 
@@ -280,17 +291,12 @@ def search(
     min_score: float = 0.0,
     filters: SearchFilters | None = None,
     with_doc_columns: bool = True,
-    parallel: bool = False,
-    use_wand: bool = False,
     mode: str = "bm25",
     candidate_cap: int | None = None,
 ) -> pa.Table:
-    """Top-k BM25 search; returns an Arrow table of ranked results.
-
-    ``use_wand=True`` routes each partition through block-max WAND
-    (:mod:`coderag_ray.query.wand`) — identical results, skip-based
-    pruning (not compatible with ``filters``, which need exhaustive
-    candidate sets).
+    """Top-k BM25 (or ``mode="cosine"``) search; returns an Arrow table
+    of ranked results.  The scorer follows from the reader and the call
+    (module docstring); every one is exact.
 
     ``candidate_cap`` reproduces the reference's T3 recall
     approximation (``storage-persistent.ts:738-739``): only the top
@@ -298,7 +304,7 @@ def search(
     reference passes ``limit * 2``) are BM25-scored.  OFF by default —
     the engine is exhaustive; ties break (count DESC, doc_id,
     chunk_id) where the reference's SQLite ordering is unspecified.
-    Compact-path only (plain bm25, no filters/wand)."""
+    Compact-path only (resident reader, plain bm25, no filters)."""
     reader = index if isinstance(index, IndexReader) else IndexReader(index)
     tokens = dedupe_query_tokens(tokenize(
         query, reader.config.tokenizer,
@@ -312,21 +318,18 @@ def search(
         return _empty_result()
     reader.ensure_preloaded()
 
-    # use_wand on a RESIDENT shard routes through the compact path's
-    # champion-list early termination — the same impact-ordered pruning
-    # family as WAND/MaxScore, exact, and ~20× faster than per-partition
-    # traversal because postings+impacts are preloaded (VERDICT r3 item
-    # 6).  The block-max traversals (wand.wand_topk DAAT reference,
-    # wand.blockmax_topk vectorized) remain the DISK path below for
-    # shards too large to preload — their value is postings *skipped*.
-    compact = reader.compact() if (filters is None and not parallel
-                                   and mode == "bm25") else None
+    # resident + unfiltered bm25 → the compact path's champion-list
+    # early termination (impact-ordered pruning, exact) over preloaded
+    # postings and impacts; everything else scores partitions
+    # exhaustively — on a non-resident reader that beat block-max
+    # skipping at every measured size (docs/PERF_NOTES.md)
+    compact = reader.compact() if (filters is None and mode == "bm25") else None
     if compact is not None:
         return _search_compact(compact, reader, tokens, idf_map, k, min_score,
                                with_doc_columns, candidate_cap)
     if candidate_cap is not None:
         raise ValueError("candidate_cap requires the compact bm25 path "
-                         "(no filters/wand/parallel/cosine)")
+                         "(resident reader, no filters, mode='bm25')")
     if mode == "cosine":
         uniq, q_tfidf, qmag = build_query_vector(query, reader)
         parts = [
@@ -336,37 +339,10 @@ def search(
         return _finish(parts, reader, uniq, k, min_score, with_doc_columns)
     if mode != "bm25":
         raise ValueError(f"unknown mode {mode!r}")
-    if use_wand:
-        # vectorized block-max pruning (exact; see wand.blockmax_topk) —
-        # the Python doc-at-a-time wand_topk remains as the parity /
-        # skip-count reference implementation
-        from coderag_ray.query.wand import blockmax_topk
-
-        if filters is not None:
-            raise ValueError("use_wand does not support result filters")
-        parts = []
-        for pid in reader.partitions:
-            r = blockmax_topk(reader, pid, tokens, idf_map, k, min_score)
-            parts.append((pid, r.ordinals, r.scores, r.matched))
-    elif parallel and len(reader.partitions) > 1:
-        import ray
-
-        @ray.remote
-        def score_part(index_dir: str, pid: int, toks, idf, flt):
-            r = IndexReader(index_dir)
-            cand, sc, m = _partition_scores(r, pid, toks, idf, flt)
-            return pid, cand, sc, m
-
-        futs = [
-            score_part.remote(reader.index_dir, pid, tokens, idf_map, filters)
-            for pid in reader.partitions
-        ]
-        parts = list(ray.get(futs))
-    else:
-        parts = [
-            (pid, *_partition_scores(reader, pid, tokens, idf_map, filters))
-            for pid in reader.partitions
-        ]
+    parts = [
+        (pid, *_partition_scores(reader, pid, tokens, idf_map, filters))
+        for pid in reader.partitions
+    ]
     return _finish(parts, reader, tokens, k, min_score, with_doc_columns)
 
 

@@ -38,12 +38,10 @@ class ShardActor:
     def ping(self) -> bool:
         return True
 
-    def search(self, query: str, k: int, mode: str = "bm25",
-               use_wand: bool = False) -> pa.Table:
+    def search(self, query: str, k: int, mode: str = "bm25") -> pa.Table:
         from coderag_ray.query.search import search
 
-        return search(self.reader, query, k, with_doc_columns=False,
-                      mode=mode, use_wand=use_wand)
+        return search(self.reader, query, k, with_doc_columns=False, mode=mode)
 
 
 class ShardedSearcher:
@@ -67,12 +65,10 @@ class ShardedSearcher:
         self.actors = [remote.remote(index_dir, s, preload) for s in shards]
         ray.get([a.ping.remote() for a in self.actors])  # constructors done
 
-    def search(self, query: str, k: int = 10, mode: str = "bm25",
-               use_wand: bool = False) -> pa.Table:
+    def search(self, query: str, k: int = 10, mode: str = "bm25") -> pa.Table:
         import ray
 
-        tables = ray.get([a.search.remote(query, k, mode, use_wand)
-                          for a in self.actors])
+        tables = ray.get([a.search.remote(query, k, mode) for a in self.actors])
         tables = [t for t in tables if t.num_rows]
         if not tables:
             import pyarrow as _pa

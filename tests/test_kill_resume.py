@@ -23,7 +23,7 @@ from coderag_ray.corpus import make_corpus
 from coderag_ray.index.build import build_index
 corpus = make_corpus({n_docs}, seed=77)
 r = build_index(ray.data.from_arrow(corpus), {index_dir!r},
-                IndexConfig(num_partitions=6, shuffle={shuffle!r}))
+                IndexConfig(num_partitions=6))
 print("DONE", r.n_chunks, flush=True)
 ray.shutdown()
 """
@@ -38,8 +38,8 @@ def _data_files(index_dir):
     return out
 
 
-def _run_build(index_dir, n_docs=150, shuffle="runs", kill_after=None):
-    code = BUILD_SCRIPT.format(n_docs=n_docs, index_dir=index_dir, shuffle=shuffle)
+def _run_build(index_dir, n_docs=150, kill_after=None):
+    code = BUILD_SCRIPT.format(n_docs=n_docs, index_dir=index_dir)
     p = subprocess.Popen([sys.executable, "-c", code], cwd="/root/repo",
                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     if kill_after is None:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coderag_ray.functions.ast_chunker import chunk_python_ast
 from coderag_ray.functions.bpe import default_tokenizer
 from coderag_ray.functions.embeddings import js_string_hash
+from coderag_ray.functions.hashing import part_for_doc
 from coderag_ray.pipelines.dedup import _MERS_P, _mulmod61, minhash_signatures_batch
 
 
@@ -23,6 +24,15 @@ def test_mulmod61_matches_bigint(a, b):
     ref = np.array([(int(x) * int(y)) % _MERS_P for x, y in zip(av, bv)],
                    dtype=np.uint64)
     assert (got == ref).all()
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=50), st.integers(1, 1000))
+@example([2**62 + 12345, 2**63 - 1], 7)
+def test_part_for_doc_scalar_matches_array(ids, num_partitions):
+    """A scalar doc_id routes to the partition the ingest stage's array
+    path gives it."""
+    arr = part_for_doc(np.array(ids, dtype=np.uint64), num_partitions)
+    assert [part_for_doc(i, num_partitions) for i in ids] == arr.tolist()
 
 
 @given(st.lists(st.lists(st.integers(0, 2**64 - 1), max_size=80), min_size=1, max_size=20))

@@ -12,15 +12,15 @@ from coderag_ray.query.cache import create_cache_key
 
 
 # --------------------------------------------------------------------------
-# cache key must separate engine-side kwargs (mode, use_wand, min_score)
+# cache key must separate engine-side kwargs (mode, min_score)
 # --------------------------------------------------------------------------
 
 def test_cache_key_separates_engine_kwargs():
     base = create_cache_key("Foo Bar", limit=10)
     assert create_cache_key("foo bar ", limit=10) == base  # ref normalization
     assert create_cache_key("Foo Bar", limit=10, extra={"mode": "cosine"}) != base
-    assert create_cache_key("Foo Bar", limit=10, extra={"use_wand": True}) != \
-        create_cache_key("Foo Bar", limit=10, extra={"use_wand": False})
+    assert create_cache_key("Foo Bar", limit=10, extra={"mode": "cosine"}) != \
+        create_cache_key("Foo Bar", limit=10, extra={"mode": "bm25"})
     # canonical ordering: dict insertion order must not matter
     assert create_cache_key("q", extra={"a": 1, "b": 2}) == \
         create_cache_key("q", extra={"b": 2, "a": 1})

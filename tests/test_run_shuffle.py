@@ -1,41 +1,48 @@
-"""runs-shuffle build == groupby-shuffle build (byte-identical partitions)."""
+"""The run shuffle (the build's one exchange) puts every chunk in the
+partition its doc routes to, with the oracle's token counts and
+per-partition document frequencies."""
 
 import os
+from collections import Counter
 
 import pyarrow.parquet as pq
-import pytest
 
 from coderag_ray.config import IndexConfig
 from coderag_ray.corpus import make_corpus
+from coderag_ray.functions.hashing import part_for_doc
 from coderag_ray.index.build import build_index
+from coderag_ray.index.partition import part_dirname
+from coderag_ray.oracle import OracleIndex
 from coderag_ray.query.search import search
 
 
-def test_runs_equals_groupby(ray_session, tmp_path):
+def test_runs_partitions_match_oracle(ray_session, tmp_path):
     import ray.data
 
     corpus = make_corpus(n_docs=150, seed=51)
-    dirs = {}
-    for mode in ("runs", "groupby"):
-        d = str(tmp_path / mode)
-        r = build_index(ray.data.from_arrow(corpus), d,
-                        IndexConfig(num_partitions=5, shuffle=mode))
-        dirs[mode] = d
-        assert r.n_chunks > 0
+    cfg = IndexConfig(num_partitions=5)
+    d = str(tmp_path / "idx")
+    r = build_index(ray.data.from_arrow(corpus), d, cfg)
+    oracle = OracleIndex.from_rows(corpus.to_pylist(), cfg)
+    assert r.n_chunks == oracle.n_chunks > 0
 
-    # identical partition data files
-    for pdir in sorted(os.listdir(os.path.join(dirs["runs"], "parts"))):
-        for f in ("docs.parquet", "postings.parquet", "termdf.parquet", "chunks.parquet"):
-            a = pq.read_table(os.path.join(dirs["runs"], "parts", pdir, f))
-            b = pq.read_table(os.path.join(dirs["groupby"], "parts", pdir, f))
-            assert a.equals(b), (pdir, f)
-    # identical idf + identical search results
-    assert pq.read_table(os.path.join(dirs["runs"], "idf")).to_pydict() == \
-        pq.read_table(os.path.join(dirs["groupby"], "idf")).to_pydict()
-    sem = ["rank", "doc_id", "chunk_id", "score"]
-    for q in ["user authentication", "self return function", "getUserById"]:
-        assert search(dirs["runs"], q, 10, with_doc_columns=False).select(sem).equals(
-            search(dirs["groupby"], q, 10, with_doc_columns=False).select(sem)), q
+    by_part: dict[int, list] = {p: [] for p in range(cfg.num_partitions)}
+    for c in oracle.chunks:
+        by_part[part_for_doc(c.doc_id, cfg.num_partitions)].append(c)
+    for p, chunks in by_part.items():
+        pdir = os.path.join(d, "parts", part_dirname(p))
+        if not chunks:
+            assert not os.path.exists(pdir), p
+            continue
+        chunks.sort(key=lambda c: (c.doc_id, c.chunk_id))
+        docs = pq.read_table(os.path.join(pdir, "docs.parquet"))
+        assert list(zip(docs["doc_id"].to_pylist(), docs["chunk_id"].to_pylist(),
+                        docs["dl"].to_pylist())) == \
+            [(c.doc_id, c.chunk_id, c.token_count) for c in chunks], p
+        termdf = pq.read_table(os.path.join(pdir, "termdf.parquet"))
+        df = Counter(t for c in chunks for t in c.tf)
+        assert dict(zip(termdf["term"].to_pylist(),
+                        termdf["df_local"].to_pylist())) == dict(df), p
 
 
 def test_runs_dir_cleaned_after_build(ray_session, tmp_path):
@@ -43,7 +50,7 @@ def test_runs_dir_cleaned_after_build(ray_session, tmp_path):
 
     d = str(tmp_path / "idx")
     build_index(ray.data.from_arrow(make_corpus(40, seed=2)), d,
-                IndexConfig(num_partitions=3, shuffle="runs"))
+                IndexConfig(num_partitions=3))
     assert not os.path.exists(os.path.join(d, "_runs"))
 
 
@@ -53,7 +60,7 @@ def test_runs_resume_single_partition(ray_session, tmp_path):
 
     corpus = make_corpus(n_docs=80, seed=8)
     d = str(tmp_path / "idx")
-    cfg = IndexConfig(num_partitions=4, shuffle="runs")
+    cfg = IndexConfig(num_partitions=4)
     build_index(ray.data.from_arrow(corpus), d, cfg)
     contents = corpus["content"].to_pylist()
     contents[10] = contents[10] + "\nconst zz_new_symbol = 1;"

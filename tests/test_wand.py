@@ -1,16 +1,18 @@
-"""Block-max WAND: exact equivalence with exhaustive scoring on every
-reference query, plus evidence that it actually skips work."""
+"""Non-resident vs resident BM25 parity: the per-partition exhaustive
+scorer that a ``preload="never"`` reader runs must return bitwise the
+same top-k as the resident compact path (champion lists with the
+exhaustive scatter fallback) on every reference query.  The test names
+date from the block-max WAND scorer that served non-resident readers
+before the per-partition scorer replaced it."""
 
-import numpy as np
 import pytest
 
 from coderag_ray.config import IndexConfig
 from coderag_ray.corpus import make_corpus
 from coderag_ray.index.build import build_index
 from coderag_ray.index.reader import IndexReader
-from coderag_ray.query.search import dedupe_query_tokens, search
-from coderag_ray.query.wand import wand_topk
-from coderag_ray.functions.tokenizer import tokenize
+from coderag_ray.oracle import OracleIndex
+from coderag_ray.query.search import search
 
 QUERIES = [
     "user", "user authentication", "authenticate user", "database connection",
@@ -31,19 +33,15 @@ def built(ray_session, tmp_path_factory):
 
 
 def test_wand_equals_exhaustive(built):
-    # use_wand on a resident shard routes through the compact champion
-    # path; the DISK traversal is what needs parity coverage, so the
-    # wand side runs on a preload="never" reader
     reader = IndexReader(built)
     cold = IndexReader(built, preload="never")
+    assert reader.ensure_preloaded() and not cold.ensure_preloaded()
     sem = ["rank", "doc_id", "chunk_id", "score", "matched_terms"]
     for q in QUERIES:
         for k in (1, 3, 10, 100):
             a = search(reader, q, k, with_doc_columns=False).select(sem)
-            b = search(cold, q, k, with_doc_columns=False, use_wand=True).select(sem)
-            c = search(reader, q, k, with_doc_columns=False, use_wand=True).select(sem)
+            b = search(cold, q, k, with_doc_columns=False).select(sem)
             assert a.equals(b), f"q={q!r} k={k}"
-            assert a.equals(c), f"compact-routed wand q={q!r} k={k}"
 
 
 def test_wand_min_score_equals_exhaustive(built):
@@ -54,103 +52,37 @@ def test_wand_min_score_equals_exhaustive(built):
         a = search(reader, "self return function", 20,
                    min_score=ms, with_doc_columns=False).select(sem)
         b = search(cold, "self return function", 20,
-                   min_score=ms, with_doc_columns=False, use_wand=True).select(sem)
+                   min_score=ms, with_doc_columns=False).select(sem)
         assert a.equals(b), ms
 
 
-def test_wand_skips_work_on_selective_query(built):
-    """A rare term + hot terms with small k: WAND must evaluate far fewer
-    docs than the number of matching postings."""
-    reader = IndexReader(built)
-    tokens = dedupe_query_tokens(tokenize("self return function const import", reader.config.tokenizer))
-    idf_map = reader.idf_for_terms(tokens)
-    reader.ensure_preloaded()
-    total_scored = 0
-    total_matching = 0
-    for pid in reader.partitions:
-        r = wand_topk(reader, pid, tokens, idf_map, k=3)
-        total_scored += r.docs_scored
-        total_matching += r.docs_total_matching
-    assert total_matching > 0
-    # hot terms match nearly every chunk; with k=3 WAND should prune hard
-    assert total_scored < total_matching * 0.8, (total_scored, total_matching)
-
-
-def test_blockmax_equals_daat_wand_per_partition(built):
-    """The vectorized block-at-a-time scorer must return the same
-    (ordinals, scores, matched) as the DAAT reference on every query ×
-    partition × k."""
-    from coderag_ray.query.wand import blockmax_topk
-
-    reader = IndexReader(built)
-    reader.ensure_preloaded()
-    for q in QUERIES:
-        tokens = dedupe_query_tokens(tokenize(q, reader.config.tokenizer))
-        if not tokens:
-            continue
-        idf_map = reader.idf_for_terms(tokens)
-        if not idf_map:
-            continue
-        for k in (1, 3, 10, 100):
-            for pid in reader.partitions:
-                a = wand_topk(reader, pid, tokens, idf_map, k)
-                b = blockmax_topk(reader, pid, tokens, idf_map, k)
-                assert (a.ordinals == b.ordinals).all(), (q, k, pid)
-                assert (a.scores == b.scores).all(), (q, k, pid)
-                assert (a.matched == b.matched).all(), (q, k, pid)
-
-
-def test_blockmax_skips_blocks_on_selective_query(built):
-    from coderag_ray.query.wand import blockmax_topk
-
-    reader = IndexReader(built)
-    tokens = dedupe_query_tokens(
-        tokenize("self return function const import", reader.config.tokenizer))
-    idf_map = reader.idf_for_terms(tokens)
-    scored = matching = 0
-    for pid in reader.partitions:
-        r = blockmax_topk(reader, pid, tokens, idf_map, k=3)
-        scored += r.docs_scored
-        matching += r.docs_total_matching
-    assert matching > 0
-    assert scored < matching, (scored, matching)
-
-
 def test_blockmax_flat_impacts_ties_exact(ray_session, tmp_path):
-    """Adversarial for the strict UB<kth stop: a corpus where most
-    impacts are IDENTICAL (every doc repeats the same words the same
-    number of times) makes segment upper bounds tie with the kth score
-    everywhere — tied segments must still be scored, and the final
-    (score DESC, ordinal ASC) tie-break must match the exhaustive and
-    DAAT paths bitwise."""
+    """Adversarial for the champion lists' certify/fallback step: a
+    corpus where every impact is IDENTICAL (every doc repeats the same
+    words the same number of times) makes the champion bound tie with
+    the kth score everywhere, so no rung certifies and the resident path
+    must fall back to the scatter.  Both residencies must still return
+    the oracle's (score DESC, doc_id, chunk_id) ranking bitwise."""
     import pyarrow as pa
     import ray.data
 
-    from coderag_ray.config import IndexConfig
-    from coderag_ray.index.build import build_index
-    from coderag_ray.query.wand import blockmax_topk
-
-    n = 600  # > POSTING_BLOCK so multiple blocks per term
+    n = 600  # > CHAMPION_C, so hot terms have non-champion postings
     docs = pa.table({
         "doc_id": pa.array(range(n), type=pa.int64()),
         "repo": pa.array(["r"] * n), "path": pa.array([f"p/{i}" for i in range(n)]),
         "commit": pa.array([""] * n), "lang": pa.array(["text"] * n),
         "content": pa.array(["alpha beta gamma " * 4] * n),  # identical docs
     })
+    cfg = IndexConfig(num_partitions=2)
     idx = str(tmp_path / "flat")
-    build_index(ray.data.from_arrow(docs), idx, IndexConfig(num_partitions=2))
-    reader = IndexReader(idx, preload="never")
-    tokens = dedupe_query_tokens(tokenize("alpha beta", reader.config.tokenizer))
-    idf_map = reader.idf_for_terms(tokens)
-    for k in (1, 5, 50, 600):
-        for pid in reader.partitions:
-            a = wand_topk(reader, pid, tokens, idf_map, k)
-            b = blockmax_topk(reader, pid, tokens, idf_map, k)
-            assert (a.ordinals == b.ordinals).all(), (k, pid)
-            assert (a.scores == b.scores).all(), (k, pid)
-    # search-level parity too (routes through blockmax on this cold reader)
-    sem = ["rank", "doc_id", "chunk_id", "score"]
+    build_index(ray.data.from_arrow(docs), idx, cfg)
+    oracle = OracleIndex.from_rows(docs.to_pylist(), cfg)
     warm = IndexReader(idx)
-    x = search(warm, "alpha beta", 20, with_doc_columns=False).select(sem)
-    y = search(reader, "alpha beta", 20, with_doc_columns=False, use_wand=True).select(sem)
-    assert x.equals(y)
+    cold = IndexReader(idx, preload="never")
+    for k in (1, 5, 50, 600):
+        exp = [(d, c, s) for d, c, s, _ in oracle.search("alpha beta", k)]
+        for reader in (warm, cold):
+            got = search(reader, "alpha beta", k, with_doc_columns=False)
+            rows = list(zip(got["doc_id"].to_pylist(), got["chunk_id"].to_pylist(),
+                            got["score"].to_pylist()))
+            assert rows == exp, (k, reader.ensure_preloaded())
