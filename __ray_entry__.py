@@ -30,6 +30,7 @@ from coderag_ray.functions.tokenizer import ascii_ws_words
 from coderag_ray.corpus import corpus_from_documents
 from coderag_ray.index.build import build_index
 from coderag_ray.stages.chunk import make_chunker
+from coderag_ray.stages.bucket_agg import exchange
 from coderag_ray.stages.ingest import make_ingest
 from coderag_ray.stages.tokenize import make_tokenizer_stage
 
@@ -142,25 +143,20 @@ def q_chunk_stats(sf_dir: str):
 
 
 def q_doc_stats(sf_dir: str):
-    """Per-doc chunk aggregates — bucketed on hash(doc_id) (doc
+    """Per-doc chunk aggregates — one exchange on doc_id (doc
     cardinality grows with the corpus; per-distinct-group declarative
     aggregation is the bucket_agg anti-pattern), vectorized pandas
-    aggregation inside each of the auto_buckets(corpus) groups."""
+    aggregation inside each of the auto_buckets(corpus) buckets."""
     from coderag_ray.config import auto_buckets
-    from coderag_ray.functions.hashing import splitmix64
 
     nb = auto_buckets(_table_rows(sf_dir), target_rows=1_000_000)
 
     def project(t: pa.Table) -> pa.Table:
-        d = pc.cast(t["doc_id"], pa.int64())
-        b = (splitmix64(d.to_numpy(zero_copy_only=False).astype(np.uint64))
-             % np.uint64(nb)).astype(np.int32)
         return pa.table(
             {
-                "doc_id": d,
+                "doc_id": pc.cast(t["doc_id"], pa.int64()),
                 "token_count": pc.cast(t["token_count"], pa.int64()),
                 "content_sha256": t["content_sha256"],
-                "__bucket": pa.array(b),
             }
         )
 
@@ -176,12 +172,8 @@ def q_doc_stats(sf_dir: str):
             "content_sha256": pa.array(a["content_sha256"].tolist(), type=pa.string()),
         })
 
-    return (
-        _stage_pipeline(sf_dir, CFG_SIMPLE)
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(agg_bucket, batch_format="pandas")
-    )
+    rows = _stage_pipeline(sf_dir, CFG_SIMPLE).map_batches(project, batch_format="pyarrow")
+    return exchange(rows, "doc_id", nb, agg_bucket, batch_format="pandas")
 
 
 def q_postings(sf_dir: str):
@@ -542,7 +534,6 @@ def q_keywords(sf_dir: str):
     import pyarrow.parquet as pq
 
     from coderag_ray.config import auto_buckets
-    from coderag_ray.functions.hashing import splitmix64
 
     idx = _index_for(sf_dir, CFG_SIMPLE)
     idf_tbl = pq.read_table(os.path.join(idx, "idf"))
@@ -577,10 +568,6 @@ def q_keywords(sf_dir: str):
 
     nb = auto_buckets(_table_rows(sf_dir), target_rows=500_000)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("__bucket", pa.array((splitmix64(d) % np.uint64(nb)).astype(np.int32)))
-
     def topk_of_bucket(g):
         import pandas as pd
 
@@ -601,13 +588,8 @@ def q_keywords(sf_dir: str):
             "rank": pa.array(top["rank"].to_numpy(dtype=np.int64), type=pa.int64()),
         })
 
-    return (
-        _stage_pipeline(sf_dir, CFG_SIMPLE)
-        .map_batches(explode_tfidf, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(topk_of_bucket, batch_format="pandas")
-    )
+    rows = _stage_pipeline(sf_dir, CFG_SIMPLE).map_batches(explode_tfidf, batch_format="pyarrow")
+    return exchange(rows, "doc_id", nb, topk_of_bucket, batch_format="pandas")
 
 
 def q_chunk_ast(sf_dir: str):
@@ -1043,8 +1025,6 @@ def q_simhash_dup(sf_dir: str):
     content sha) MUST have identical 64-bit SimHash values.  The SQL
     oracle genuinely recomputes the duplicate-pair count from a content
     self-join; ``all_equal_ok`` is engine-evaluated and pinned true."""
-    import zlib
-
     from coderag_ray.config import auto_buckets
     from coderag_ray.functions.hashing import batch_sha256
     from coderag_ray.pipelines.dedup import simhash_batch
@@ -1052,12 +1032,7 @@ def q_simhash_dup(sf_dir: str):
     nb = auto_buckets(_table_rows(sf_dir), target_rows=2_000_000)
 
     def project(t: pa.Table) -> pa.Table:
-        out = simhash_batch(t)
-        shas = batch_sha256(t["text"])
-        b = np.array([zlib.crc32(x.encode()) % nb for x in shas.to_pylist()],
-                     dtype=np.int32)
-        return (out.append_column("content_sha256", shas)
-                   .append_column("__bucket", pa.array(b)))
+        return simhash_batch(t).append_column("content_sha256", batch_sha256(t["text"]))
 
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         # sha-bucketed partial: pair count + equality verdict per bucket
@@ -1070,10 +1045,8 @@ def q_simhash_dup(sf_dir: str):
                                   type=pa.int64()),
         })
 
-    parts = (_docs(sf_dir).map_batches(project, batch_format="pyarrow")
-             .groupby("__bucket")
-             .map_groups(per_bucket, batch_format="pandas")
-             .to_pandas())  # ≤64 summary rows
+    parts = exchange(_docs(sf_dir).map_batches(project, batch_format="pyarrow"), "content_sha256",
+                     nb, per_bucket, batch_format="pandas").to_pandas()  # ≤ nb summary rows
     return pa.table({
         "n_dup_pairs": pa.array([int(parts["n_dup_pairs"].sum())], type=pa.int64()),
         "all_equal_ok": pa.array([bool(parts["n_unequal"].sum() == 0)], type=pa.bool_()),

@@ -23,11 +23,34 @@ pipeline whose output can be empty:
 
 Cost: one zero-copy ``select``/``cast`` per block and one extra empty
 block — nothing at 100 TB.
+
+Ray 2.49 also logs "Operator produced a RefBundle with a different
+schema … new schema: ." whenever an operator emits a 0-row, column-less
+bundle after a typed one: the sort shuffle emits one for every empty
+partition (buckets are few next to the blocks of a small input) and a
+map task over such a block emits another.  Such a bundle holds no rows
+and cannot change a dataset's schema — Ray already ignores it when it
+comes first — so :class:`_EmptyBundleSchemaFilter` drops exactly that
+message.  A real divergence between two non-empty schemas still warns.
 """
 
 from __future__ import annotations
 
+import logging
+
 import pyarrow as pa
+
+
+class _EmptyBundleSchemaFilter(logging.Filter):
+    def filter(self, record: logging.LogRecord) -> bool:
+        msg = record.getMessage()
+        return not ("RefBundle with a different schema" in msg
+                    and "new schema: . " in msg)
+
+
+_executor_log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+if not any(isinstance(f, _EmptyBundleSchemaFilter) for f in _executor_log.filters):
+    _executor_log.addFilter(_EmptyBundleSchemaFilter())
 
 
 def schema_stable(ds, schema: pa.Schema, sort_key: str | None = None):

@@ -28,9 +28,7 @@ def batch_sha256(texts: pa.Array | pa.ChunkedArray) -> pa.Array:
     hashlib releases the GIL per call and the cost is O(bytes); a row
     loop here is bandwidth-bound, not interpreter-bound.
     """
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    buf = texts.tolist()
+    buf = texts.to_pylist()
     return pa.array(
         [hashlib.sha256(t.encode("utf-8")).hexdigest() if t is not None else None for t in buf],
         type=pa.string(),

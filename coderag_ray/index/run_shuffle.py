@@ -161,22 +161,6 @@ def run_shuffle_build(tokenized, index_dir: str, config,
     shutil.rmtree(os.path.join(index_dir, RUNS_DIRNAME), ignore_errors=True)
     os.makedirs(run_dir, exist_ok=True)
 
-    summary_ds = tokenized.map_batches(
-        make_run_writer(run_dir), batch_format="pyarrow", batch_size=None
-    )
-    # drive execution without collecting per-task summary rows: runs land
-    # in deterministic part=NNNNN/ directories, so the driver only needs
-    # the touched-partition LISTING (≤ P entries), not #map-tasks × P
-    # summary rows — at cluster scale that collection would grow with
-    # the job (VERDICT r1 caveat); each merge task globs its own dir
-    summary_ds.count()
-    global LAST_MAP_STATS
-    LAST_MAP_STATS = summary_ds.stats()  # post-execution per-operator stats (cheap string)
-    part_ids = sorted(
-        int(name.split("=", 1)[1]) for name in os.listdir(run_dir)
-        if name.startswith("part=")
-    )
-
     @ray.remote
     def merge(pid: int, rdir: str, idx_dir: str, cfg) -> dict:
         part_dir = os.path.join(rdir, f"part={pid:05d}")
@@ -191,7 +175,26 @@ def run_shuffle_build(tokenized, index_dir: str, config,
         group = pa.concat_tables(tables).combine_chunks()
         return write_partition(group, idx_dir, cfg)
 
-    futures = [merge.remote(pid, run_dir, index_dir, config) for pid in part_ids]
-    rows = ray.get(futures)
-    shutil.rmtree(run_dir, ignore_errors=True)
+    # the spill directory goes whether the build succeeds or fails: a
+    # failed build must not leave its runs in RAM-backed /dev/shm
+    try:
+        summary_ds = tokenized.map_batches(
+            make_run_writer(run_dir), batch_format="pyarrow", batch_size=None
+        )
+        # drive execution without collecting per-task summary rows: runs
+        # land in deterministic part=NNNNN/ directories, so the driver
+        # only needs the touched-partition LISTING (≤ P entries), not
+        # #map-tasks × P summary rows — at cluster scale that collection
+        # would grow with the job (VERDICT r1 caveat); each merge task
+        # globs its own dir
+        summary_ds.count()
+        global LAST_MAP_STATS
+        LAST_MAP_STATS = summary_ds.stats()  # post-execution per-operator stats (cheap string)
+        part_ids = sorted(
+            int(name.split("=", 1)[1]) for name in os.listdir(run_dir)
+            if name.startswith("part=")
+        )
+        rows = ray.get([merge.remote(pid, run_dir, index_dir, config) for pid in part_ids])
+    finally:
+        shutil.rmtree(run_dir, ignore_errors=True)
     return rows

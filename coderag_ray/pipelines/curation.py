@@ -5,7 +5,7 @@ benchmark decontamination → keep/drop verdict with a reason.
 Shape: ONE wide exchange.  A single ``map_batches`` pass computes every
 per-doc signal (quality stats, content sha, benchmark-overlap flag —
 the benchmark shingle set rides along as a broadcast object), then one
-``groupby(content_sha256)`` marks the keeper per duplicate group (min
+hash exchange on ``content_sha256`` marks the keeper per duplicate group (min
 doc_id, the frozen policy from :func:`coderag_ray.pipelines.dedup.exact_dedup`)
 and emits the verdict.  Nothing corpus-sized touches the driver; reason
 precedence is frozen (low_quality → duplicate → contaminated → kept)
@@ -19,8 +19,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from coderag_ray.functions.datasets import schema_stable
 from coderag_ray.functions.rounding import round6
+from coderag_ray.stages.bucket_agg import exchange
 
 REASONS = ("kept", "low_quality", "duplicate", "contaminated")
 
@@ -56,28 +56,19 @@ def curate(docs_ds, *, min_words: int = 10, max_stopword_ratio: float = 0.7,
             bench_set |= _word_shingles(text, ngram)
     bench_ref = ray.put(bench_set)
 
-    import zlib
-
     def signals(t: pa.Table) -> pa.Table:
         bs = ray.get(bench_ref)
         q = quality_batch(t)
         overlap = []
         for text in t["text"].to_pylist():
             overlap.append(len(_word_shingles(text, ngram) & bs) > 0)
-        shas = batch_sha256(t["text"])
-        # bucket on the sha: distinct-sha cardinality grows with the
-        # corpus, so the keeper resolution groups by HASH BUCKET and
-        # resolves all sha groups inside vectorized (bucket_agg lesson)
-        b = np.array([zlib.crc32(s.encode()) % nb for s in shas.to_pylist()],
-                     dtype=np.int32)
         return pa.table(
             {
                 "doc_id": q["doc_id"],
                 "n_words": q["n_words"],
                 "stopword_ratio": q["stopword_ratio"],
-                "content_sha256": shas,
+                "content_sha256": batch_sha256(t["text"]),
                 "contaminated": pa.array(overlap),
-                "__bucket": pa.array(b),
             }
         )
 
@@ -109,9 +100,8 @@ def curate(docs_ds, *, min_words: int = 10, max_stopword_ratio: float = 0.7,
             }
         )
 
-    return schema_stable(
-        docs_ds.map_batches(signals, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(verdict_bucket, batch_format="pandas"),
-        CURATE_SCHEMA,
-    )
+    # exchange on the sha: distinct-sha cardinality grows with the
+    # corpus, so the keeper resolution runs per hash bucket and resolves
+    # all sha groups inside vectorized
+    return exchange(docs_ds.map_batches(signals, batch_format="pyarrow"), "content_sha256",
+                    nb, verdict_bucket, batch_format="pandas", schema=CURATE_SCHEMA)

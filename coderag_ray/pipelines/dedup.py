@@ -3,9 +3,16 @@ embedding-cosine.
 
 The reference has only exact per-file replacement (SURVEY.md §2.7 "no
 near-dedup"); these are the training-data-scale operations a 100 TB
-corpus pipeline needs.  Shapes:
+corpus pipeline needs.
 
-- **exact**: content-hash groupby → group size + keeper (min doc_id).
+Every keyed step is one hash exchange
+(:func:`coderag_ray.stages.bucket_agg.exchange`): rows go to their
+key's bucket and one vectorized function runs per bucket; an
+intermediate that several exchanges read is routed once
+(:func:`~coderag_ray.stages.bucket_agg.routed`).  The functions here
+see plain rows, never a bucket column.  Shapes:
+
+- **exact**: content-hash exchange → group size + keeper (min doc_id).
   One tiny shuffle over (sha256, doc_id) pairs.
 - **n-gram Jaccard**: one exact, prefix-filtered similarity join
   (:func:`_similar_pairs`) serves the top-k pairs (threshold descent)
@@ -27,8 +34,8 @@ corpus pipeline needs.  Shapes:
   shingles corpus-wide (~3·10^-8 at m = 10^6).
 - **MinHash-LSH**: per-doc 64-perm MinHash signature (vectorized
   universal hashing over the same shingle hashes), banded into 16
-  buckets → candidate pairs from bucket groupby → the same exact
-  verify join.  Deterministic: all hash seeds are fixed constants.
+  band hashes → candidate pairs from a band-hash exchange → the same
+  exact verify join.  Deterministic: all hash seeds are fixed constants.
 - **SimHash**: 64-bit weighted sign-hash per doc; near-dups = hamming
   distance ≤ t among banded candidates.
 - **embedding cosine**: within-block (label) pairwise cosine via
@@ -46,6 +53,7 @@ import pandas as pd
 from coderag_ray.functions.datasets import schema_stable
 from coderag_ray.functions.rounding import round6
 from coderag_ray.functions.tokenizer import ascii_ws_words
+from coderag_ray.stages.bucket_agg import bucket_count, exchange, routed
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -99,24 +107,14 @@ def exact_dedup(docs_ds):
     is BUCKETED (hash sha → auto_buckets(input) groups, one vectorized
     pandas groupby per bucket) rather than per-sha declarative — the
     bucket_agg pattern; exact integer results either way."""
-    import zlib
-
     from coderag_ray.config import auto_buckets
     from coderag_ray.functions.hashing import batch_sha256
 
     nb = auto_buckets(docs_ds, target_rows=2_000_000)  # narrow sha rows
 
     def add_sha(t: pa.Table) -> pa.Table:
-        shas = batch_sha256(t["text"])
-        b = np.array([zlib.crc32(s.encode()) % nb for s in shas.to_pylist()],
-                     dtype=np.int32)
-        return pa.table(
-            {
-                "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "content_sha256": shas,
-                "__bucket": pa.array(b),
-            }
-        )
+        return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64()),
+                         "content_sha256": batch_sha256(t["text"])})
 
     def agg_bucket(g: pd.DataFrame) -> pa.Table:
         a = (g.groupby("content_sha256", sort=False)["doc_id"]
@@ -127,12 +125,8 @@ def exact_dedup(docs_ds):
             "keeper_doc_id": pa.array(a["keeper_doc_id"].to_numpy(dtype=np.int64), type=pa.int64()),
         })
 
-    return schema_stable(
-        docs_ds.map_batches(add_sha, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(agg_bucket, batch_format="pandas"),
-        EXACT_DEDUP_SCHEMA,
-    )
+    return exchange(docs_ds.map_batches(add_sha, batch_format="pyarrow"), "content_sha256",
+                    nb, agg_bucket, batch_format="pandas", schema=EXACT_DEDUP_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +142,7 @@ def exact_dedup(docs_ds):
 # the exchange keyed on ``doc_id``.
 SIDE_SCHEMA = pa.schema([
     ("doc_id", pa.int64()), ("other", pa.int64()), ("hash", pa.uint64()),
-    ("n", pa.int64()), ("pos", pa.int64()), ("__bucket", pa.int32()),
+    ("n", pa.int64()), ("pos", pa.int64()),
 ])
 # Thresholds ngram_jaccard_pairs(top=k) tries, highest first; the last
 # (0: every pair sharing a shingle) makes the descent total.
@@ -160,13 +154,6 @@ _BOUND_EPS = 1e-6
 
 def _ceil_lo(x: np.ndarray) -> np.ndarray:
     return np.ceil(x - _BOUND_EPS)
-
-
-def _route(keys: np.ndarray, nb: int) -> np.ndarray:
-    """Exchange bucket of int64 doc ids or uint64 shingle hashes."""
-    from coderag_ray.functions.hashing import splitmix64
-
-    return (splitmix64(keys.astype(np.uint64)) % np.uint64(nb)).astype(np.int32)
 
 
 def _run_bounds(*sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,35 +179,33 @@ def _run_pairs(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate(ia), np.concatenate(ib)
 
 
-def _side(doc_id, hash_, n, pos, bucket, other=None) -> pa.Table:
+def _side(doc_id, hash_, n, pos, other=None) -> pa.Table:
     if other is None:
         other = np.zeros(len(doc_id), np.int64)
-    cols = (doc_id, other, hash_, n, pos, bucket)
+    cols = (doc_id, other, hash_, n, pos)
     return pa.Table.from_arrays([pa.array(c, type=f.type) for c, f in zip(cols, SIDE_SCHEMA)],
                                 schema=SIDE_SCHEMA)
 
 
-def _doc_rows(t: pa.Table, n: int, nb: int, by_doc: bool) -> pa.Table:
-    """Docs → one doc row per distinct shingle hash (:func:`doc_shingle_hashes`),
-    routed by doc id or by hash."""
+def _doc_rows(t: pa.Table, n: int) -> pa.Table:
+    """Docs → one doc row per distinct shingle hash (:func:`doc_shingle_hashes`)."""
     ids = pc.cast(t["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
     hs = [doc_shingle_hashes(text, n) for text in t["text"].to_pylist()]
     sizes = np.fromiter(map(len, hs), np.int64, len(hs))
     h = np.concatenate(hs) if hs else np.empty(0, np.uint64)
     d = np.repeat(ids, sizes)
-    return _side(d, h, np.repeat(sizes, sizes), np.zeros(len(h), np.int64),
-                 _route(d if by_doc else h, nb))
+    return _side(d, h, np.repeat(sizes, sizes), np.zeros(len(h), np.int64))
 
 
-def _pair_rows(a: np.ndarray, b: np.ndarray, nb: int, n_a=None) -> pa.Table:
+def _pair_rows(a: np.ndarray, b: np.ndarray, n_a=None) -> pa.Table:
     """Candidate pairs (doc_a < doc_b) → pair rows keyed on doc_a; ``n``
     holds |doc_a| where the caller knows it (0 otherwise)."""
     z = np.zeros(len(a), np.int64)
     return _side(a, np.zeros(len(a), np.uint64), z if n_a is None else n_a,
-                 np.full(len(a), -1, np.int64), _route(a, nb), other=b)
+                 np.full(len(a), -1, np.int64), other=b)
 
 
-def _attach_a(g: dict, nb: int) -> pa.Table:
+def _attach_a(g: dict) -> pa.Table:
     """Verify round 1, keyed on doc_a: every distinct pair picks up
     doc_a's hashes, re-keyed on doc_b."""
     is_pair = g["pos"] < 0
@@ -235,8 +220,7 @@ def _attach_a(g: dict, nb: int) -> pa.Table:
     cnt = np.searchsorted(d, a, "right") - lo
     idx = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(int(cnt.sum()))
     bb = np.repeat(b, cnt)
-    return _side(bb, h[idx], n[idx], np.full(len(idx), -1, np.int64), _route(bb, nb),
-                 other=np.repeat(a, cnt))
+    return _side(bb, h[idx], n[idx], np.full(len(idx), -1, np.int64), other=np.repeat(a, cnt))
 
 
 def _score_b(g: dict, t: float) -> pa.Table:
@@ -264,30 +248,27 @@ def _pair_scores(a, b, common, n_a, n_b, t: float) -> pa.Table:
                                 schema=PAIR_SCORE_SCHEMA)
 
 
-def _verify_pairs(pairs, doc_rows, t: float, nb: int):
+def _verify_pairs(pairs, doc_rows, t: float):
     """Exact Jaccard of candidate pairs → PAIR_SCORE rows with
     ``jaccard >= t`` (and at least one shared shingle).
 
-    ``pairs`` holds materialized :func:`_pair_rows` candidates,
-    duplicates allowed; ``doc_rows`` is the materialized doc-row Dataset
-    keyed on doc id.  Two doc-keyed union-joins on flat (doc_id, hash)
-    rows: round 1 dedups each pair and sends doc_a's hashes to doc_b's
-    bucket, round 2 counts the ones doc_b also holds with one sort — no
-    per-pair Python.  Each union input is materialized first: a lazy
-    branch unioned into the exchange stalls under a small object store."""
-    a_side = (doc_rows.union(pairs).groupby("__bucket")
-              .map_groups(lambda g: _attach_a(g, nb), batch_format="numpy")
-              .materialize())
-    return schema_stable(
-        doc_rows.union(a_side).groupby("__bucket")
-        .map_groups(lambda g: _score_b(g, t), batch_format="numpy"),
-        PAIR_SCORE_SCHEMA,
-    )
+    ``pairs`` holds :func:`_pair_rows` candidates, duplicates allowed;
+    ``pairs`` and ``doc_rows`` (the doc-row Dataset) are both
+    :func:`routed` on doc id with one bucket count.  Two doc-keyed
+    union-joins on flat (doc_id, hash) rows: round 1 dedups each pair and
+    sends doc_a's hashes to doc_b's bucket, round 2 counts the ones doc_b
+    also holds with one sort — no per-pair Python.  Each union input is
+    materialized first: a lazy branch unioned into the exchange stalls
+    under a small object store."""
+    nb = bucket_count(doc_rows)
+    a_side = routed(exchange([doc_rows, pairs], "doc_id", nb, _attach_a), "doc_id", nb)
+    return exchange([doc_rows, a_side], "doc_id", nb, lambda g: _score_b(g, t),
+                    schema=PAIR_SCORE_SCHEMA)
 
 
 def _ranked_doc_rows(docs_ds, n: int):
     """→ (doc rows with each shingle's rarest-first rank in ``pos`` and
-    its df in ``other``, keyed on doc id; bucket count; shingle meetings
+    its df in ``other``, :func:`routed` on doc id; shingle meetings
     Σ df·(df−1)/2 over all shingles).
 
     Two exchanges: shingle-keyed to count df, doc-keyed to order each
@@ -303,7 +284,7 @@ def _ranked_doc_rows(docs_ds, n: int):
 
     def add_df(g: dict) -> pa.Table:
         _, inv, df = np.unique(g["hash"], return_inverse=True, return_counts=True)
-        return _side(g["doc_id"], g["hash"], g["n"], df[inv], _route(g["doc_id"], nb))
+        return _side(g["doc_id"], g["hash"], g["n"], df[inv])
 
     def rank(g: dict) -> pa.Table:
         d, h = g["doc_id"], g["hash"]
@@ -311,29 +292,23 @@ def _ranked_doc_rows(docs_ds, n: int):
         d, h, n, df = d[o], h[o], g["n"][o], g["pos"][o]
         starts, lens = _run_bounds(d)
         pos = np.arange(len(d)) - np.repeat(starts, lens)
-        return _side(d, h, n, pos, g["__bucket"][o], other=df)
+        return _side(d, h, n, pos, other=df)
 
-    ranked = (
-        docs_ds.map_batches(lambda t: _doc_rows(t, n, nb, by_doc=False), batch_format="pyarrow")
-        .groupby("__bucket").map_groups(add_df, batch_format="numpy")
-        .groupby("__bucket").map_groups(rank, batch_format="numpy")
-        .materialize()
-    )
+    rows = docs_ds.map_batches(lambda t: _doc_rows(t, n), batch_format="pyarrow")
+    ranked = routed(exchange(exchange(rows, "hash", nb, add_df), "doc_id", nb, rank),
+                    "doc_id", nb)
     # each shingle contributes df rows, so Σ_rows (df − 1) = Σ df·(df − 1)
     n_meet = ((ranked.sum("other") or 0) - ranked.count()) // 2
-    return ranked, nb, n_meet
+    return ranked, n_meet
 
 
-def _by_hash(b: pa.Table, t: float, nb: int) -> pa.Table:
-    """Each doc's prefix of ``|s| − ⌈t·|s|⌉ + 1`` rarest shingles, re-keyed
-    on the shingle hash (``t = 0``: the whole set)."""
+def _prefix(b: pa.Table, t: float) -> pa.Table:
+    """Each doc's prefix of ``|s| − ⌈t·|s|⌉ + 1`` rarest shingles."""
     s = b["n"].to_numpy()
-    b = b.filter(b["pos"].to_numpy() < s - _ceil_lo(t * s) + 1)
-    return b.set_column(b.schema.get_field_index("__bucket"), "__bucket",
-                        pa.array(_route(b["hash"].to_numpy(), nb), type=pa.int32()))
+    return b.filter(b["pos"].to_numpy() < s - _ceil_lo(t * s) + 1)
 
 
-def _candidates(ranked, t: float, nb: int, n_meet: int):
+def _candidates(ranked, t: float, n_meet: int):
     """Materialized candidate pair rows (:func:`_pair_rows`, ``n`` =
     |doc_a|) of the prefix filter at ``t`` — or None when counting every
     shared shingle (:func:`_count_pairs`) moves fewer rows than
@@ -365,15 +340,15 @@ def _candidates(ranked, t: float, nb: int, n_meet: int):
         a, b, sa = d[ia][keep], d[ib][keep], sa[keep]
         o = np.lexsort((b, a))
         first = o[_run_bounds(a[o], b[o])[0]]  # one row per pair in this bucket
-        return _pair_rows(a[first], b[first], nb, sa[first])
+        return _pair_rows(a[first], b[first], sa[first])
 
-    cand = (ranked.map_batches(lambda b: _by_hash(b, t, nb), batch_format="pyarrow")
-            .groupby("__bucket").map_groups(meet, batch_format="numpy")
-            .materialize())
+    nb = bucket_count(ranked)
+    prefixes = ranked.map_batches(lambda b: _prefix(b, t), batch_format="pyarrow")
+    cand = routed(exchange(prefixes, "hash", nb, meet), "doc_id", nb)
     return None if (cand.sum("n") or 0) >= n_meet else cand
 
 
-def _count_pairs(ranked, t: float, nb: int, n_meet: int):
+def _count_pairs(ranked, t: float, n_meet: int):
     """PAIR_SCORE rows with ``jaccard >= t`` by counting shared shingles:
     whole sets meet per shingle, each bucket pre-aggregates its meetings
     per pair, and a doc-keyed exchange sums them — no verify join.
@@ -392,12 +367,11 @@ def _count_pairs(ranked, t: float, nb: int, n_meet: int):
         ka, kb = key // len(ids), key % len(ids)
         size = np.zeros(len(ids), np.int64)
         size[dense] = s
-        a = ids[ka]
         return pa.table({
-            "doc_a": pa.array(a, type=pa.int64()), "doc_b": pa.array(ids[kb], type=pa.int64()),
+            "doc_a": pa.array(ids[ka], type=pa.int64()),
+            "doc_b": pa.array(ids[kb], type=pa.int64()),
             "n_common": pa.array(cnt, type=pa.int64()),
             "n_a": pa.array(size[ka], type=pa.int64()), "n_b": pa.array(size[kb], type=pa.int64()),
-            "__bucket": pa.array(_route(a, nb), type=pa.int32()),
         })
 
     def merge(g: dict) -> pa.Table:
@@ -408,12 +382,8 @@ def _count_pairs(ranked, t: float, nb: int, n_meet: int):
         return _pair_scores(a[starts], b[starts], common, g["n_a"][o][starts],
                             g["n_b"][o][starts], t)
 
-    return schema_stable(
-        ranked.map_batches(lambda b: _by_hash(b, 0.0, nb_meet), batch_format="pyarrow")
-        .groupby("__bucket").map_groups(count, batch_format="numpy")
-        .groupby("__bucket").map_groups(merge, batch_format="numpy"),
-        PAIR_SCORE_SCHEMA,
-    )
+    return exchange(exchange(ranked, "hash", nb_meet, count), "doc_a", bucket_count(ranked),
+                    merge, schema=PAIR_SCORE_SCHEMA)
 
 
 def _similar_pairs(docs_ds, n: int, t: float):
@@ -424,11 +394,11 @@ def _similar_pairs(docs_ds, n: int, t: float):
     MinHash recall check.  ``t = 0`` gives every pair sharing a shingle.
     Prefix-filtered candidates are verified (:func:`_verify_pairs`)
     unless counting all shared shingles is cheaper."""
-    ranked, nb, n_meet = _ranked_doc_rows(docs_ds, n)
-    cand = _candidates(ranked, t, nb, n_meet)
+    ranked, n_meet = _ranked_doc_rows(docs_ds, n)
+    cand = _candidates(ranked, t, n_meet)
     if cand is None:
-        return _count_pairs(ranked, t, nb, n_meet)
-    return _verify_pairs(cand, ranked, t, nb)
+        return _count_pairs(ranked, t, n_meet)
+    return _verify_pairs(cand, ranked, t)
 
 
 def _no_cap(max_shingle_df) -> None:
@@ -460,13 +430,13 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, top: int = 50,
     join is exact without it).
     """
     _no_cap(max_shingle_df)
-    ranked, nb, n_meet = _ranked_doc_rows(docs_ds, n)
+    ranked, n_meet = _ranked_doc_rows(docs_ds, n)
     for t in TOPK_DESCENT:
-        cand = _candidates(ranked, t, nb, n_meet)
+        cand = _candidates(ranked, t, n_meet)
         if cand is None:  # counted pairs are all pairs: exact for any top
-            scored = _count_pairs(ranked, 0.0, nb, n_meet)
+            scored = _count_pairs(ranked, 0.0, n_meet)
             break
-        scored = _verify_pairs(cand, ranked, t, nb).materialize()
+        scored = _verify_pairs(cand, ranked, t).materialize()
         if scored.count() >= top:
             break
     pdf = (
@@ -532,8 +502,6 @@ def _cc_star_rounds(edges_ds, num_buckets: int = 256, max_rounds: int = 64):
     """
     from coderag_ray.functions.hashing import splitmix64
 
-    NB = np.uint64(num_buckets)
-
     def _segments(keys: np.ndarray) -> np.ndarray:
         return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
 
@@ -567,25 +535,12 @@ def _cc_star_rounds(edges_ds, num_buckets: int = 256, max_rounds: int = 64):
     def _large_star_input(t: pa.Table) -> pa.Table:
         a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = np.r_[a, b]
-        v = np.r_[b, a]
-        bk = (splitmix64(u.astype(np.uint64)) % NB).astype(np.int32)
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "__bucket": pa.array(bk)})
+        return pa.table({"u": pa.array(np.r_[a, b]), "v": pa.array(np.r_[b, a])})
 
     def _small_star_input(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         # group by the LARGER endpoint; neighbors are the smaller ends
-        bk = (splitmix64(b.astype(np.uint64)) % NB).astype(np.int32)
-        return pa.table({"u": pa.array(b), "v": pa.array(a),
-                         "__bucket": pa.array(bk)})
-
-    def _dedupe_input(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bk = (splitmix64(a * np.uint64(0x9E3779B97F4A7C15) ^ splitmix64(b)) % NB)
-        return t.append_column("__bucket", pa.array(bk.astype(np.int32)))
+        return pa.table({"u": pc.cast(t["doc_b"], pa.int64()),
+                         "v": pc.cast(t["doc_a"], pa.int64())})
 
     def _dedupe(g: pd.DataFrame) -> pa.Table:
         e = np.unique(np.stack([g["doc_a"].to_numpy(dtype=np.int64),
@@ -611,16 +566,12 @@ def _cc_star_rounds(edges_ds, num_buckets: int = 256, max_rounds: int = 64):
     cur = edges_ds
     prev_fp = None
     for _ in range(max_rounds):
-        cur = (cur.map_batches(_large_star_input, batch_format="pyarrow")
-               .groupby("__bucket")
-               .map_groups(lambda g: _star(g, True), batch_format="pandas"))
-        cur = (cur.map_batches(_small_star_input, batch_format="pyarrow")
-               .groupby("__bucket")
-               .map_groups(lambda g: _star(g, False), batch_format="pandas"))
-        cur = (cur.map_batches(_dedupe_input, batch_format="pyarrow")
-               .groupby("__bucket")
-               .map_groups(_dedupe, batch_format="pandas")
-               .materialize())
+        cur = exchange(cur.map_batches(_large_star_input, batch_format="pyarrow"), "u",
+                       num_buckets, lambda g: _star(g, True), batch_format="pandas")
+        cur = exchange(cur.map_batches(_small_star_input, batch_format="pyarrow"), "u",
+                       num_buckets, lambda g: _star(g, False), batch_format="pandas")
+        cur = exchange(cur, ("doc_a", "doc_b"), num_buckets, _dedupe,
+                       batch_format="pandas").materialize()
         fp = _fingerprint(cur)
         if fp == prev_fp:
             return cur
@@ -663,18 +614,9 @@ def clusters_from_edges_ds(edges_ds, edge_budget: int = 5_000_000):
             "cluster_id": pa.array(np.r_[a, a], type=pa.int64()),
         })
 
-    # dedup the (doc, root) labels with one more bucketed groupby (a doc
-    # appears once per incident star edge) and sort DISTRIBUTED — the
-    # driver never holds the label table
-    from coderag_ray.functions.hashing import splitmix64
-
-    nb_label = np.uint64(auto_buckets(n_edges, target_rows=2_000_000))
-
-    def add_label_bucket(t: pa.Table) -> pa.Table:
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("__bucket",
-                               pa.array((splitmix64(d) % nb_label).astype(np.int32)))
-
+    # dedup the (doc, root) labels with one more exchange (a doc appears
+    # once per incident star edge) and sort DISTRIBUTED — the driver
+    # never holds the label table
     def dedup_labels(g: pd.DataFrame) -> pa.Table:
         u = g.drop_duplicates("doc_id")  # one root per doc post-convergence
         return pa.table({
@@ -682,13 +624,9 @@ def clusters_from_edges_ds(edges_ds, edge_budget: int = 5_000_000):
             "cluster_id": pa.array(u["cluster_id"].to_numpy(dtype=np.int64), type=pa.int64()),
         })
 
-    return schema_stable(
-        stars.map_batches(to_labels, batch_format="pyarrow")
-        .map_batches(add_label_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(dedup_labels, batch_format="pandas"),
-        CLUSTER_SCHEMA, sort_key="doc_id",
-    )
+    return exchange(stars.map_batches(to_labels, batch_format="pyarrow"), "doc_id",
+                    auto_buckets(n_edges, target_rows=2_000_000), dedup_labels,
+                    batch_format="pandas", schema=CLUSTER_SCHEMA, sort_key="doc_id")
 
 
 def near_dup_clusters(docs_ds, threshold: float = 0.5, n: int = 3,
@@ -717,9 +655,7 @@ def near_dup_clusters(docs_ds, threshold: float = 0.5, n: int = 3,
     ``max_shingle_df`` must be None.
     """
     _no_cap(max_shingle_df)
-    edges_ds = _similar_pairs(docs_ds, n, threshold).map_batches(
-        lambda t: t.select(["doc_a", "doc_b"]), batch_format="pyarrow")
-    return clusters_from_edges_ds(edges_ds, edge_budget)
+    return clusters_from_edges_ds(_similar_pairs(docs_ds, n, threshold), edge_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -916,16 +852,11 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
     nb_band = auto_buckets(n_rows * MINHASH_BANDS, target_rows=2_000_000, lo=256)
     nb_join = auto_buckets(n_rows, target_rows=10_000)
 
-    def add_band_bucket(t: pa.Table) -> pa.Table:
-        # distinct (band_id, band_hash) cardinality grows with the
-        # corpus → hash band buckets into nb_band coarse groups so pair
-        # expansion pays Python overhead per COARSE group only (the
-        # bucket_agg lesson), with vectorized run detection inside
-        h = t["band_hash"].to_numpy(zero_copy_only=False)
-        return t.append_column("__bucket", pa.array(_route(h, nb_band)))
-
-    bands = (docs_ds.map_batches(lambda t: minhash_band_rows(t, n), batch_format="pyarrow")
-             .map_batches(add_band_bucket, batch_format="pyarrow"))
+    # distinct (band_id, band_hash) cardinality grows with the corpus →
+    # exchange band hashes into nb_band coarse buckets so pair expansion
+    # pays Python overhead per COARSE bucket only, with vectorized run
+    # detection inside
+    bands = docs_ds.map_batches(lambda t: minhash_band_rows(t, n), batch_format="pyarrow")
 
     def pairs_of_bucket(g: dict) -> pa.Table:
         """All (band_id, band_hash) runs of one coarse bucket, pair-
@@ -942,10 +873,10 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
                     int(over.sum()), max_bucket_docs)
                 lens = np.minimum(lens, max_bucket_docs)
         ia, ib = _run_pairs(starts, lens)
-        return _pair_rows(ids[ia], ids[ib], nb_join)
+        return _pair_rows(ids[ia], ids[ib])
 
-    cand = (bands.groupby("__bucket").map_groups(pairs_of_bucket, batch_format="numpy")
-            .materialize())  # read twice: candidate ids, then the verify join
+    # read twice: candidate ids, then the verify join
+    cand = routed(exchange(bands, "band_hash", nb_band, pairs_of_bucket), "doc_id", nb_join)
     # distinct candidate doc IDs — ints only, bounded by the bucket cap
     id_chunks = [np.unique(np.r_[b["doc_id"].to_numpy(), b["other"].to_numpy()])
                  for b in cand.iter_batches(batch_format="pyarrow") if b.num_rows]
@@ -955,10 +886,11 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
 
     def candidate_doc_rows(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_in(pc.cast(t["doc_id"], pa.int64()), value_set=ray.get(need_ref)))
-        return _doc_rows(t, n, nb_join, by_doc=True)
+        return _doc_rows(t, n)
 
-    doc_rows = docs_ds.map_batches(candidate_doc_rows, batch_format="pyarrow").materialize()
-    verified_ds = _verify_pairs(cand, doc_rows, jaccard_threshold, nb_join).materialize()
+    doc_rows = routed(docs_ds.map_batches(candidate_doc_rows, batch_format="pyarrow"),
+                      "doc_id", nb_join)
+    verified_ds = _verify_pairs(cand, doc_rows, jaccard_threshold).materialize()
     global LAST_MINHASH_STATS
     LAST_MINHASH_STATS = verified_ds.stats()  # per-operator audit (bench)
     verified = verified_ds.to_pandas()  # final verified pairs only — small
@@ -1087,7 +1019,6 @@ def duplicated_spans(docs_ds, window: int = 32, stride: int = 8,
     from numpy.lib.stride_tricks import sliding_window_view
 
     from coderag_ray.config import auto_buckets, dataset_rows_estimate
-    from coderag_ray.functions.hashing import splitmix64
 
     # each doc expands to ~len/stride window rows of ~window bytes: use
     # a doc-count target small enough that one bucket's window rows stay
@@ -1095,11 +1026,10 @@ def duplicated_spans(docs_ds, window: int = 32, stride: int = 8,
     # bucket counts (the estimate's count() backstop may execute a
     # derived plan — pay it at most once).
     n_docs_est = dataset_rows_estimate(docs_ds)
-    nb_win = np.uint64(auto_buckets(n_docs_est, target_rows=10_000))
-    nb_doc = np.uint64(auto_buckets(n_docs_est, target_rows=2_000_000))
+    nb_win = auto_buckets(n_docs_est, target_rows=10_000)
+    nb_doc = auto_buckets(n_docs_est, target_rows=2_000_000)
     _empty_win = pa.table({"doc_id": pa.array([], type=pa.int64()),
-                           "win": pa.array([], type=pa.binary(window)),
-                           "__bucket": pa.array([], type=pa.int32())})
+                           "win": pa.array([], type=pa.binary(window))})
 
     def win_batch(t: pa.Table) -> pa.Table:
         docs, wins = [], []
@@ -1121,17 +1051,7 @@ def duplicated_spans(docs_ds, window: int = 32, stride: int = 8,
         # preserves every byte
         win_arr = pa.FixedSizeBinaryArray.from_buffers(
             pa.binary(window), len(W), [None, pa.py_buffer(W.tobytes())])
-        # vectorized FNV-1a fold over the window bytes (routing only);
-        # column ops upcast on the fly — no 8× uint64 materialization
-        h = np.full(len(W), np.uint64(14695981039346656037))
-        for j in range(window):
-            h = (h ^ W[:, j]) * np.uint64(1099511628211)
-        bkt = (splitmix64(h) % nb_win).astype(np.int32)
-        return pa.table({
-            "doc_id": pa.array(d, type=pa.int64()),
-            "win": win_arr,
-            "__bucket": pa.array(bkt),
-        })
+        return pa.table({"doc_id": pa.array(d, type=pa.int64()), "win": win_arr})
 
     def dup_bucket(g: pd.DataFrame) -> pa.Table:
         dup = (g.groupby("win", sort=False)["doc_id"].transform("nunique")
@@ -1139,13 +1059,10 @@ def duplicated_spans(docs_ds, window: int = 32, stride: int = 8,
         a = (g.assign(dup=dup.to_numpy())
              .groupby("doc_id", sort=False)["dup"]
              .agg(n_windows="size", n_dup_windows="sum").reset_index())
-        bkt = (splitmix64(a["doc_id"].to_numpy(dtype=np.uint64)) % nb_doc
-               ).astype(np.int32)
         return pa.table({
             "doc_id": pa.array(a["doc_id"].to_numpy(dtype=np.int64), type=pa.int64()),
             "n_windows": pa.array(a["n_windows"].to_numpy(dtype=np.int64), type=pa.int64()),
             "n_dup_windows": pa.array(a["n_dup_windows"].to_numpy(dtype=np.int64), type=pa.int64()),
-            "__bucket": pa.array(bkt),
         })
 
     def sum_doc(g: pd.DataFrame) -> pa.Table:
@@ -1161,8 +1078,7 @@ def duplicated_spans(docs_ds, window: int = 32, stride: int = 8,
                 np.atleast_1d(round6(nd / np.maximum(nw, 1))), type=pa.float64()),
         })
 
-    return schema_stable(
-        docs_ds.map_batches(win_batch, batch_format="pyarrow")
-        .groupby("__bucket").map_groups(dup_bucket, batch_format="pandas")
-        .groupby("__bucket").map_groups(sum_doc, batch_format="pandas"),
-        SPAN_DUP_SCHEMA, sort_key="doc_id")
+    wins = docs_ds.map_batches(win_batch, batch_format="pyarrow")
+    return exchange(exchange(wins, "win", nb_win, dup_bucket, batch_format="pandas"),
+                    "doc_id", nb_doc, sum_doc, batch_format="pandas",
+                    schema=SPAN_DUP_SCHEMA, sort_key="doc_id")

@@ -17,6 +17,7 @@ import pyarrow.compute as pc
 
 from coderag_ray.functions.datasets import schema_stable
 from coderag_ray.functions.rounding import round6
+from coderag_ray.stages.bucket_agg import exchange
 
 TUMBLE_SECONDS = 3600
 SESSION_GAP_SECONDS = 1800
@@ -146,8 +147,8 @@ def session_windows(events_ds, gap_seconds: int = SESSION_GAP_SECONDS):
     Hot-user safety + bounded Python overhead: phase 1 is a SHUFFLE-FREE
     ``map_batches`` combiner — each arriving batch is collapsed into
     per-user gap-islands (one vectorized numpy pass; segment boundaries
-    at user change or gap).  Phase 2 shuffles only the island SUMMARIES,
-    keyed by ``hash(user_id) % auto_buckets(...)`` (a bounded,
+    at user change or gap).  Phase 2 exchanges only the island SUMMARIES
+    on ``user_id`` into ``auto_buckets(...)`` buckets (a bounded,
     input-size-derived group count — the
     per-distinct-group Python cost of a per-user groupby is the
     bucket_agg lesson; a per-(user,day) grouping cost 14× on the bench),
@@ -166,7 +167,6 @@ def session_windows(events_ds, gap_seconds: int = SESSION_GAP_SECONDS):
     slices, phase 2 only summary rows.
     """
     from coderag_ray.config import auto_buckets
-    from coderag_ray.functions.hashing import splitmix64
 
     # phase-2 groups hold island SUMMARIES (narrow rows) — bucket count
     # derived from input size, one pandas group per bucket
@@ -186,11 +186,8 @@ def session_windows(events_ds, gap_seconds: int = SESSION_GAP_SECONDS):
         new_isl[1:] = (u[1:] != u[:-1]) | ((ts[1:] - ts[:-1]) > gap_seconds)
         starts = np.flatnonzero(new_isl)
         counts = np.diff(np.r_[starts, len(ts)])
-        iu = u[starts]
-        ub = (splitmix64(iu.astype(np.uint64)) % np.uint64(NB)).astype(np.int32)
         return pa.table({
-            "user_id": pa.array(iu, type=pa.int64()),
-            "ubucket": pa.array(ub),
+            "user_id": pa.array(u[starts], type=pa.int64()),
             "island_start": pa.array(ts[starts], type=pa.int64()),
             "island_end": pa.array(ts[starts + counts - 1], type=pa.int64()),
             "n_events": pa.array(counts, type=pa.int64()),
@@ -220,12 +217,8 @@ def session_windows(events_ds, gap_seconds: int = SESSION_GAP_SECONDS):
             "n_events": pa.array(np.add.reduceat(cnt, starts), type=pa.int64()),
         })
 
-    return schema_stable(
-        events_ds.map_batches(batch_islands, batch_format="pyarrow")
-        .groupby("ubucket")
-        .map_groups(merge, batch_format="pandas"),
-        SESSION_SCHEMA,
-    )
+    return exchange(events_ds.map_batches(batch_islands, batch_format="pyarrow"), "user_id",
+                    NB, merge, batch_format="pandas", schema=SESSION_SCHEMA)
 
 
 ASOF_PROBE_TYPE = "purchase"
@@ -234,11 +227,12 @@ RANGE_WINDOW_SECONDS = 7 * 86400
 
 
 def _bucketed_two_type(events_ds, probe_type: str, ref_type: str,
-                       n_buckets: int | None):
-    """Shared phase 1 for the temporal joins: prune to the two event
-    types, project to typed numeric columns (µs-resolution timestamps —
-    join exactness is at full input resolution, unlike the second-level
-    session windows), and key by ``hash(user_id) % n_buckets``.
+                       n_buckets: int | None, merge, schema: pa.Schema):
+    """Shared shape of the temporal joins: prune to the two event types,
+    project to typed numeric columns (µs-resolution timestamps — join
+    exactness is at full input resolution, unlike the second-level
+    session windows), exchange on ``user_id`` into ``n_buckets``, and
+    run ``merge`` per bucket.
 
     Partitioning assumption (documented per the custom-operator rule): a
     temporal join needs one user's timeline co-located.  The bucket
@@ -246,7 +240,6 @@ def _bucketed_two_type(events_ds, probe_type: str, ref_type: str,
     a hot user costs one user's rows, never a corpus-sized group.
     """
     from coderag_ray.config import auto_buckets
-    from coderag_ray.functions.hashing import splitmix64
 
     if n_buckets is None:
         # one user's timeline per bucket-group: narrow 5-column rows →
@@ -258,19 +251,16 @@ def _bucketed_two_type(events_ds, probe_type: str, ref_type: str,
     def project(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["event_type"], value_set=pa.array([probe_type, ref_type]))
         t = t.filter(keep)
-        u = pc.cast(t["user_id"], pa.int64())
-        ub = (splitmix64(u.to_numpy(zero_copy_only=False).astype(np.uint64))
-              % np.uint64(n_buckets)).astype(np.int32)
         return pa.table({
             "event_id": pc.cast(t["event_id"], pa.int64()),
-            "user_id": u,
+            "user_id": pc.cast(t["user_id"], pa.int64()),
             "ts_us": pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()),
             "value": pc.cast(t["value"], pa.float64()),
             "is_probe": pc.cast(pc.equal(t["event_type"], probe_type), pa.int8()),
-            "ubucket": pa.array(ub),
         })
 
-    return events_ds.map_batches(project, batch_format="pyarrow").groupby("ubucket")
+    return exchange(events_ds.map_batches(project, batch_format="pyarrow"), "user_id",
+                    n_buckets, merge, batch_format="pandas", schema=schema)
 
 
 def asof_join(events_ds, probe_type: str = ASOF_PROBE_TYPE,
@@ -308,9 +298,7 @@ def asof_join(events_ds, probe_type: str = ASOF_PROBE_TYPE,
             "lag_us": pa.array(lag),
         })
 
-    return schema_stable(
-        _bucketed_two_type(events_ds, probe_type, ref_type, n_buckets)
-        .map_groups(merge, batch_format="pandas"), ASOF_SCHEMA)
+    return _bucketed_two_type(events_ds, probe_type, ref_type, n_buckets, merge, ASOF_SCHEMA)
 
 
 def _group_arrays(g: pd.DataFrame):
@@ -375,9 +363,7 @@ def range_join_agg(events_ds, probe_type: str = ASOF_PROBE_TYPE,
             "sum_ref_value": pa.array(sum_v, type=pa.float64()),
         })
 
-    return schema_stable(
-        _bucketed_two_type(events_ds, probe_type, ref_type, n_buckets)
-        .map_groups(merge, batch_format="pandas"), RANGE_SCHEMA)
+    return _bucketed_two_type(events_ds, probe_type, ref_type, n_buckets, merge, RANGE_SCHEMA)
 
 
 def _range_sweep(eid, u, ts, val, isp, win_us):
@@ -447,9 +433,7 @@ def temporal_join(events_ds, probe_type: str = ASOF_PROBE_TYPE,
             "sum_ref_value": pa.array(sum_v[orr], type=pa.float64()),
         })
 
-    return schema_stable(
-        _bucketed_two_type(events_ds, probe_type, ref_type, n_buckets)
-        .map_groups(merge, batch_format="pandas"), TEMPORAL_SCHEMA)
+    return _bucketed_two_type(events_ds, probe_type, ref_type, n_buckets, merge, TEMPORAL_SCHEMA)
 
 
 def props_stats(events_ds):

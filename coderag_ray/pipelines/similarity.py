@@ -109,7 +109,7 @@ def knn_bruteforce(emb_ds, query_ids: list[int], k: int = 5):
     import ray
 
     from coderag_ray.config import auto_buckets
-    from coderag_ray.functions.hashing import splitmix64
+    from coderag_ray.stages.bucket_agg import exchange, hash_buckets
 
     q = _grab_queries(emb_ds, query_ids)
     Q = _normalize(np.stack(q["embedding"].to_numpy()).astype(np.float64))
@@ -150,11 +150,10 @@ def knn_bruteforce(emb_ds, query_ids: list[int], k: int = 5):
     # is large: one query's candidates come from EVERY batch, so a
     # single per-query group would hold n_batches·(k+1) rows — corpus-
     # linear worker memory (the r4 driver-collect bug moved one hop
-    # upstream).  Level 1 salts the group key by vec_id hash into
+    # upstream).  Level 1 keys on (query, vec_id-hash lane) with
     # ``n_salt`` lanes per query (each lane ≤ ~target rows) and reduces
     # each lane to its top-k; level 2 merges the k·n_salt survivors per
-    # query.  Small corpora keep n_salt=1 → one level, same plan as
-    # before.
+    # query.  Small corpora keep n_salt=1 → one level.
     from coderag_ray.config import dataset_rows_estimate
 
     nb = auto_buckets(len(qids) * (k + 1), target_rows=500_000)
@@ -169,16 +168,8 @@ def knn_bruteforce(emb_ds, query_ids: list[int], k: int = 5):
     else:
         n_salt = 16
 
-    def add_qbucket(salted: bool):
-        def fn(t: pa.Table) -> pa.Table:
-            qcol = t["query_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            b = (splitmix64(qcol) % np.uint64(nb)).astype(np.int64) * n_salt
-            if salted:
-                vcol = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                b = b + (splitmix64(vcol) % np.uint64(n_salt)).astype(np.int64)
-            # int64: nb·n_salt can exceed int32 at extreme sizes
-            return t.append_column("__bucket", pa.array(b, type=pa.int64()))
-        return fn
+    def add_lane(t: pa.Table) -> pa.Table:
+        return t.append_column("lane", pa.array(hash_buckets(t, "vec_id", n_salt)))
 
     def reduce_topk(g: pd.DataFrame) -> pa.Table:
         g = g[g["query_id"] != g["vec_id"]]  # exclude self
@@ -191,19 +182,12 @@ def knn_bruteforce(emb_ds, query_ids: list[int], k: int = 5):
             "cos_sim": pa.array(top_g["cos_sim"].to_numpy(dtype=np.float64), type=pa.float64()),
         })
 
-    reduced = (
-        emb_ds.map_batches(batch_topk, batch_format="pyarrow", batch_size=4096)
-        .map_batches(add_qbucket(salted=n_salt > 1), batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce_topk, batch_format="pandas")
-    )
-    if n_salt > 1:  # level 2: k·n_salt rows per query → global top-k
-        reduced = (
-            reduced.map_batches(add_qbucket(salted=False), batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(reduce_topk, batch_format="pandas")
-        )
-    cand = reduced.to_pandas()  # O(k·|Q|) rows — bounded, corpus-independent
+    cand = emb_ds.map_batches(batch_topk, batch_format="pyarrow", batch_size=4096)
+    if n_salt > 1:  # level 1: each (query, lane) → its top-k
+        cand = exchange(cand.map_batches(add_lane, batch_format="pyarrow"),
+                        ("query_id", "lane"), nb * n_salt, reduce_topk, batch_format="pandas")
+    # O(k·|Q|) rows reach the driver — bounded, corpus-independent
+    cand = exchange(cand, "query_id", nb, reduce_topk, batch_format="pandas").to_pandas()
     if cand.shape[1] == 0:  # every candidate was a self-match
         return pa.table({"query_id": pa.array([], type=pa.int64()),
                          "vec_id": pa.array([], type=pa.int64()),
@@ -438,10 +422,7 @@ def _reduce_candidates(cand_ds, k: int, score_col: str):
     k-th within its group, and sentinel sums are associative — the
     driver merge re-sorts/heads-k the union unchanged."""
     from coderag_ray.config import auto_buckets
-    from coderag_ray.stages.bucket_agg import _add_bucket
-
-    nb = auto_buckets(cand_ds, target_rows=500_000)
-    add_bucket = _add_bucket("query_id", nb)  # shared splitmix64 routing
+    from coderag_ray.stages.bucket_agg import exchange
 
     def reduce_g(g: pd.DataFrame) -> pa.Table:
         sent = g[g["vec_id"] < 0].groupby("query_id", sort=True)["n_scanned"].sum()
@@ -463,9 +444,8 @@ def _reduce_candidates(cand_ds, k: int, score_col: str):
                       sent.to_numpy(dtype=np.int64)], type=pa.int64()),
         })
 
-    return (cand_ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(reduce_g, batch_format="pandas"))
+    return exchange(cand_ds, "query_id", auto_buckets(cand_ds, target_rows=500_000),
+                    reduce_g, batch_format="pandas")
 
 
 def _probe_scan(paths: list[str], qids: np.ndarray, Qn: np.ndarray,

@@ -19,33 +19,20 @@ from __future__ import annotations
 import os
 import shutil
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from coderag_ray.functions.hashing import splitmix64
+from coderag_ray.stages.bucket_agg import exchange, hash_buckets
 
 SUCCESS_MARKER = "_SUCCESS"
 
 
-def _bucket_array(col, num_partitions: int) -> np.ndarray:
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_integer(col.type):
-        keys = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        return (splitmix64(keys) % np.uint64(num_partitions)).astype(np.int32)
-    import zlib
-
-    return np.array(
-        [zlib.crc32(str(s).encode("utf-8")) % num_partitions for s in col.to_pylist()],
-        dtype=np.int32,
-    )
-
-
 def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
                       skip_complete: bool = True):
-    """Hash-partitioned, resumable, deterministic parquet write.
+    """Hash-partitioned, resumable, deterministic parquet write: one
+    :func:`~coderag_ray.stages.bucket_agg.exchange` bucket per partition
+    (so ``key_col`` is an integer, string or fixed-size binary column).
 
     → pyarrow Table (part, n_rows, skipped) — one summary row per
     partition actually present in the data.  Re-running over the same
@@ -54,21 +41,14 @@ def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
     """
     os.makedirs(out_dir, exist_ok=True)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part", pa.array(_bucket_array(t[key_col], num_partitions)))
-
-    sort_cols = None
-
     def write_group(g: pa.Table) -> pa.Table:
-        part = int(g["__part"][0].as_py())
+        part = int(hash_buckets(g.slice(0, 1), key_col, num_partitions)[0])
         part_dir = os.path.join(out_dir, f"part={part:05d}")
         done = os.path.join(part_dir, SUCCESS_MARKER)
         if skip_complete and os.path.exists(done):
             return pa.table({"part": pa.array([part], type=pa.int32()),
                              "n_rows": pa.array([g.num_rows], type=pa.int64()),
                              "skipped": pa.array([True])})
-        g = g.drop_columns(["__part"])
         # deterministic row order → byte-identical rewrite
         keys = [(key_col, "ascending")] + [
             (c, "ascending") for c in g.column_names if c != key_col
@@ -89,12 +69,8 @@ def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
                          "n_rows": pa.array([g.num_rows], type=pa.int64()),
                          "skipped": pa.array([False])})
 
-    summary = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(write_group, batch_format="pyarrow")
-        .to_pandas()  # one row per partition — tiny
-    )
+    summary = exchange(ds, key_col, num_partitions, write_group,
+                       batch_format="pyarrow").to_pandas()  # one row per partition — tiny
     return pa.Table.from_pandas(
         summary.sort_values("part").reset_index(drop=True), preserve_index=False
     ).replace_schema_metadata(None)

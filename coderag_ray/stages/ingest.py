@@ -38,12 +38,14 @@ def make_ingest(config: IndexConfig):
     num_parts = config.num_partitions
 
     def ingest(t: pa.Table) -> pa.Table:
-        content = t["content"].combine_chunks() if isinstance(t["content"], pa.ChunkedArray) else t["content"]
+        # chunked as it comes: one block's content may pass the 2 GiB
+        # offset limit of a single string array
+        content = t["content"]
         n_bytes = pc.binary_length(content)
         keep = pc.less_equal(n_bytes, max_bytes)
         if not pc.all(keep).as_py():
             t = t.filter(keep)
-            content = t["content"].combine_chunks() if isinstance(t["content"], pa.ChunkedArray) else t["content"]
+            content = t["content"]
             n_bytes = pc.binary_length(content)
         if t.num_rows == 0:
             return pa.table({c: pa.array([], type=pa.int64() if c in ("doc_id", "n_chars", "n_bytes") else (pa.int32() if c == "part_id" else pa.string())) for c in INGEST_COLUMNS})

@@ -54,6 +54,27 @@ def test_runs_dir_cleaned_after_build(ray_session, tmp_path):
     assert not os.path.exists(os.path.join(d, "_runs"))
 
 
+def test_runs_dir_cleaned_after_failed_merge(ray_session, tmp_path, monkeypatch):
+    """A merge task that raises fails the build and still removes the
+    spill directory (RAM-backed /dev/shm when present)."""
+    import pytest
+    import ray.data
+
+    import coderag_ray.index.partition
+    from coderag_ray.index.run_shuffle import _choose_run_dir
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("merge failed on purpose")
+
+    monkeypatch.setattr(coderag_ray.index.partition, "write_partition", boom)
+    d = str(tmp_path / "idx")
+    with pytest.raises(Exception, match="merge failed on purpose"):
+        build_index(ray.data.from_arrow(make_corpus(40, seed=2)), d,
+                    IndexConfig(num_partitions=3))
+    assert not os.path.exists(_choose_run_dir(d))
+    assert not os.path.exists(os.path.join(d, "_runs"))
+
+
 def test_runs_resume_single_partition(ray_session, tmp_path):
     import pyarrow as pa
     import ray.data

@@ -137,20 +137,20 @@ def test_verify_and_count_plans_agree(ray_session, monkeypatch):
 
     texts = [_HEADER + "p q r s t u"] * 3 + [_HEADER + "p q r s t v", _HEADER + "p q x"]
     texts += [_HEADER + f"x{i} y{i} z{i}" for i in range(6)] + ["", "solo"]
-    ranked, nb, n_meet = _ranked_doc_rows(ray.data.from_arrow(_table(texts)), 3)
+    ranked, n_meet = _ranked_doc_rows(ray.data.from_arrow(_table(texts)), 3)
     # a pair of docs meets once per shared shingle
     assert n_meet == sum(r[2] for r in _brute_pairs(texts, range(len(texts))))
     for t in (0.2, 0.5, 0.7, 1.0):
         want = [r for r in _brute_pairs(texts, range(len(texts))) if r[5] >= t]
-        cand = _candidates(ranked, t, nb, n_meet=2**62)  # never cheaper to count
-        verified = sorted(_rows(_verify_pairs(cand, ranked, t, nb)))
-        counted = sorted(_rows(_count_pairs(ranked, t, nb, n_meet)))
+        cand = _candidates(ranked, t, n_meet=2**62)  # never cheaper to count
+        verified = sorted(_rows(_verify_pairs(cand, ranked, t)))
+        counted = sorted(_rows(_count_pairs(ranked, t, n_meet)))
         assert verified == counted == want, t
-    assert _candidates(ranked, 0.0, nb, n_meet) is None  # t = 0 always counts
+    assert _candidates(ranked, 0.0, n_meet) is None  # t = 0 always counts
     # a corpus this small counts in one shingle bucket; force eight
     monkeypatch.setattr(coderag_ray.config, "auto_buckets", lambda *a, **kw: 8)
     want = [r for r in _brute_pairs(texts, range(len(texts))) if r[5] >= 0.2]
-    assert sorted(_rows(_count_pairs(ranked, 0.2, nb, n_meet))) == want
+    assert sorted(_rows(_count_pairs(ranked, 0.2, n_meet))) == want
 
 
 def test_minhash_without_candidates_is_typed_empty(ray_session):
