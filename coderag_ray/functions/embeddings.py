@@ -47,6 +47,14 @@ def mock_embedding(text: str, dimensions: int = DEFAULT_DIMENSIONS) -> np.ndarra
     return v / mag if mag > 0 else v
 
 
+def emb_matrix(col) -> np.ndarray:
+    """Fixed-dim ``list<float>`` column → (n, d) float64 matrix via
+    zero-copy flatten+reshape (``np.stack`` over per-row objects is
+    ~10× slower and allocates n small arrays)."""
+    la = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    return np.asarray(la.flatten(), dtype=np.float64).reshape(len(la), -1)
+
+
 class EmbeddingProviderRegistry:
     """Provider registry + fallback composition (ST3).
 

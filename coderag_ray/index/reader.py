@@ -14,6 +14,7 @@ reader per query-server process / scorer actor — ST-style state,
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from coderag_ray.functions import varint
+from coderag_ray.functions.embeddings import emb_matrix
 
 from coderag_ray.config import IndexConfig
 from coderag_ray.index import manifest as mf
@@ -132,6 +134,11 @@ class IndexReader:
         # thread's own idf call) keeps the full-load check-then-set and
         # the cache/miss mutations single-writer
         self._idf_lock = threading.Lock()
+        # the ordinal space and embedding matrix are loaded once, by
+        # whichever of the preload thread and a query gets there first
+        self._rows_lock = threading.Lock()
+        self._rows: CompactIndex | None = None
+        self._embeddings: np.ndarray | None = None
         self._bytes_postings = sum(
             row.get("bytes_postings", 0) for row in mf.manifest_partitions(man).values()
         )
@@ -211,6 +218,45 @@ class IndexReader:
             h.paths = np.array(tbl["path"].to_pylist(), dtype=object)
         return h.paths
 
+    def ordinal_space(self) -> CompactIndex:
+        """This reader's chunk rows in global-ordinal order (ascending
+        partition, then local ordinal), as a postings-free
+        :class:`CompactIndex`.  Built once; the resident compact index
+        and the vector scorer share its arrays."""
+        with self._rows_lock:
+            if self._rows is None:
+                hs = [self.partition(pid) for pid in self.partitions]
+                starts = np.cumsum([0] + [h.n_chunks for h in hs])
+                self._rows = CompactIndex(
+                    **{col: np.concatenate([getattr(h, col) for h in hs]
+                                           or [np.empty(0, dtype=np.int64)])
+                       for col in ("doc_ids", "chunk_ids", "dls")},
+                    part_offsets={h.part_id: int(s) for h, s in zip(hs, starts)},
+                    postings={})
+            return self._rows
+
+    def embeddings(self) -> np.ndarray:
+        """The partitions' ``embeddings.parquet`` sidecars as one
+        (n_chunks, d) float64 matrix whose row i is global ordinal i of
+        :meth:`ordinal_space`.  Loaded on first use and held for the
+        reader's lifetime: a new index build gets a new reader."""
+        with self._rows_lock:
+            if self._embeddings is None:
+                mats = []
+                for pid in self.partitions:
+                    path = os.path.join(self.part_dir(pid), "embeddings.parquet")
+                    if not os.path.exists(path):
+                        raise FileNotFoundError(f"no embeddings sidecar in partition {pid}; "
+                                                "run build_embeddings() first")
+                    E = emb_matrix(pq.read_table(path, columns=["embedding"])["embedding"])
+                    if len(E) != self.partition(pid).n_chunks:
+                        raise ValueError(
+                            f"embeddings sidecar of partition {pid} has {len(E)} rows "
+                            f"for {self.partition(pid).n_chunks} chunks; rerun build_embeddings()")
+                    mats.append(E)
+                self._embeddings = np.concatenate(mats) if mats else np.empty((0, 0))
+            return self._embeddings
+
     PRELOAD_MAX_BYTES = 512 << 20  # compressed; per query-server shard
 
     def compact(self) -> "CompactIndex | None":
@@ -259,18 +305,8 @@ class IndexReader:
         if self._preload_mode == "never" or self._bytes_postings > self.PRELOAD_MAX_BYTES:
             return False
 
-        offsets: dict[int, int] = {}
-        doc_ids, chunk_ids, dls = [], [], []
-        total = 0
-        for pid in self.partitions:
-            h = self.partition(pid)
-            offsets[pid] = total
-            total += h.n_chunks
-            doc_ids.append(h.doc_ids)
-            chunk_ids.append(h.chunk_ids)
-            dls.append(h.dls)
-
-        all_dls = np.concatenate(dls) if dls else np.empty(0, dtype=np.int64)
+        rows = self.ordinal_space()
+        offsets, all_dls = rows.part_offsets, rows.dls
         k1, b = self.config.k1, self.config.b
         dl_eff = np.maximum(all_dls, 1).astype(np.float64)
         dl_norm = k1 * (1.0 - b + (b * dl_eff) / self.avgdl)
@@ -365,13 +401,7 @@ class IndexReader:
             t: (ords_sorted[s:e], imp_sorted[s:e])  # views, zero-copy
             for t, (s, e) in merged.items()
         }
-        compact = CompactIndex(
-            doc_ids=np.concatenate(doc_ids) if doc_ids else np.empty(0, dtype=np.int64),
-            chunk_ids=np.concatenate(chunk_ids) if chunk_ids else np.empty(0, dtype=np.int64),
-            dls=all_dls,
-            part_offsets=offsets,
-            postings=postings,
-        )
+        compact = dataclasses.replace(rows, postings=postings)
         self._preseed_champions(compact, postings)
         # publish LAST: compact() is read without the lock elsewhere, so
         # it must only ever become visible fully built (champions

@@ -28,6 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from coderag_ray.functions.staging import sweep_stale_staging
+
 RUNS_DIRNAME = "_runs"
 _SHM = "/dev/shm"
 
@@ -77,8 +79,11 @@ def _choose_run_dir(index_dir: str, estimated_bytes: int | None = None) -> str:
     placement buys nothing and single-node disk bandwidth (~400 MB/s
     here) becomes the scaling wall at high core counts.  On a
     multi-node cluster this is the job's scratch/shuffle volume; the
-    durable index still lands under ``index_dir``."""
+    durable index still lands under ``index_dir``.  Spill directories of
+    builds that died without cleaning up (their pid is gone) are
+    removed first."""
     if os.path.isdir(_SHM):
+        sweep_stale_staging(_SHM, "coderag_runs_")
         try:
             st = os.statvfs(_SHM)
             free = st.f_bavail * st.f_frsize

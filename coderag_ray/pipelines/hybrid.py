@@ -4,8 +4,12 @@ re-expressed Ray-native.
 - :func:`build_embeddings` adds an ordinal-aligned ``embeddings.parquet``
   sidecar to every index partition (actor-pool ``EmbedStage`` over each
   partition's chunk content — one task per partition, no shuffle).
-- :func:`vector_topk` scores partitions independently (numpy cosine
-  against the query embedding) and merges, like the BM25 path.
+- :func:`vector_topk` is the one exact vector scorer: the reader holds
+  every sidecar as one resident ``(n_chunks, d)`` matrix
+  (:meth:`IndexReader.embeddings`), and a query is one row-wise product,
+  a tie-safe partition for the k-th similarity and a ``lexsort`` on
+  ``(-similarity, doc_id, chunk_id)`` over the rows at or above it —
+  the shape of BM25's resident top-k.
 - :func:`hybrid_search` merges the two top-k lists with the reference's
   weighted max-normalized fusion (``hybrid-search.ts:169-263``
   ``mergeSearchResults``): each side is normalized by its own max score
@@ -50,272 +54,78 @@ def build_embeddings(index_dir: str, dimensions: int = DEFAULT_DIMENSIONS) -> in
     return int(sum(ray.get(futures)))
 
 
-ANN_DIRNAME = "ann"
-
-
-def build_vector_ann(index_dir: str, dimensions: int = DEFAULT_DIMENSIONS) -> int:
-    """Build the ANN candidate index for :func:`vector_topk_ann`: the
-    random-hyperplane LSH bucket layout from
-    :mod:`coderag_ray.pipelines.similarity` applied to the per-partition
-    embedding sidecars (the reference's LanceDB ANN store,
-    ``vector-storage.ts:67-377``, re-expressed as a partitioned-parquet
-    layout).
-
-    Two map/reduce waves, no shuffle through the object store: one Ray
-    task per index partition writes ``bucket=NNNN/part-<pid>.parquet``
-    map outputs into a FRESH staging dir, then one task per bucket
-    compacts its part files into a single ``data.parquet`` (queries
-    probe one file per bucket instead of up to P small files — the
-    round-2 cold-probe p95 inversion came from exactly that fan-out).
-    The staging dir atomically replaces ``ann/`` at the end, so a
-    rebuild can never serve stale buckets from a previous build.
-    Returns rows indexed.
-    """
-    import json
-    import shutil
-
-    import ray
-
-    from coderag_ray.pipelines.similarity import _bucket_of, _planes, derive_lsh_planes
-
-    from coderag_ray.pipelines.similarity import (
-        recover_dir_from_bak, swap_dir_crash_safe, sweep_stale_staging)
-
-    reader = IndexReader(index_dir)
-    final_ann_dir = os.path.join(index_dir, ANN_DIRNAME)
-    recover_dir_from_bak(final_ann_dir)
-    # orphaned staging dirs from crashed builds carry OTHER pids —
-    # sweep them before staging anew (ADVICE r3)
-    sweep_stale_staging(index_dir, f"_tmp_{ANN_DIRNAME}_")
-    ann_dir = os.path.join(index_dir, f"_tmp_{ANN_DIRNAME}_{os.getpid()}")
-    shutil.rmtree(ann_dir, ignore_errors=True)
-    os.makedirs(ann_dir)
-    # plane count sized to the corpus (fixed 12 planes over a small test
-    # corpus = 4096 near-empty buckets = ~zero recall); persisted so
-    # probes always use the layout's own geometry
-    n_planes = derive_lsh_planes(reader.n_chunks)
-    with open(os.path.join(ann_dir, "_lsh.json"), "w") as f:
-        json.dump({"n_planes": n_planes}, f)
-
-    @ray.remote
-    def ann_part(part_dir: str, pid: int, ann_root: str, n_planes: int) -> int:
-        emb = pq.read_table(os.path.join(part_dir, "embeddings.parquet"))
-        docs = pq.read_table(os.path.join(part_dir, "docs.parquet"),
-                             columns=["doc_id", "chunk_id"])
-        E = _emb_matrix(emb)
-        buckets = _bucket_of(E, _planes(E.shape[1], n_planes))  # embeddings are unit vectors
-        tbl = pa.table(
-            {
-                "part_id": pa.array(np.full(len(buckets), pid, dtype=np.int64)),
-                "ordinal": emb["ordinal"],
-                "doc_id": docs["doc_id"],
-                "chunk_id": docs["chunk_id"],
-                "bucket": pa.array(buckets, type=pa.int32()),
-                "embedding": emb["embedding"],
-            }
-        )
-        order = np.argsort(buckets, kind="stable")
-        tbl = tbl.take(pa.array(order))
-        b_sorted = buckets[order]
-        starts = np.flatnonzero(np.r_[True, b_sorted[1:] != b_sorted[:-1]])
-        ends = np.r_[starts[1:], len(b_sorted)]
-        for s, e in zip(starts, ends):
-            b = int(b_sorted[s])
-            bdir = os.path.join(ann_root, f"bucket={b}")
-            os.makedirs(bdir, exist_ok=True)
-            path = os.path.join(bdir, f"part-{pid:05d}.parquet")
-            tmp = f"{path}.tmp{os.getpid()}"
-            pq.write_table(tbl.slice(s, e - s).drop_columns(["bucket"]), tmp,
-                           compression="zstd")
-            os.replace(tmp, path)
-        return len(buckets)
-
-    @ray.remote
-    def compact_bucket(bdir: str) -> int:
-        parts = sorted(f for f in os.listdir(bdir) if f.startswith("part-"))
-        tbl = pa.concat_tables([pq.read_table(os.path.join(bdir, f)) for f in parts])
-        tmp = os.path.join(bdir, f"_data.tmp{os.getpid()}")
-        pq.write_table(tbl, tmp, compression="zstd")
-        for f in parts:
-            os.remove(os.path.join(bdir, f))
-        os.replace(tmp, os.path.join(bdir, "data.parquet"))
-        return tbl.num_rows
-
-    futures = [ann_part.remote(reader.part_dir(pid), pid, ann_dir, n_planes)
-               for pid in reader.partitions]
-    n = int(sum(ray.get(futures)))
-    bdirs = [os.path.join(ann_dir, d) for d in os.listdir(ann_dir)
-             if d.startswith("bucket=")]
-    ray.get([compact_bucket.remote(b) for b in bdirs])
-    swap_dir_crash_safe(ann_dir, final_ann_dir)
-    return n
-
-
-def vector_topk_ann(reader: IndexReader, query: str, k: int,
-                    dimensions: int = DEFAULT_DIMENSIONS,
-                    multiprobe: int = 2) -> pa.Table:
-    """ANN cosine top-k: probe only the query's LSH buckets (plus
-    ``multiprobe`` lowest-margin bit flips) in the ``ann/`` layout and
-    verify candidates with exact cosine — same schema as
-    :func:`vector_topk`, approximate recall by construction.  Falls back
-    to the exact scan when the ANN index hasn't been built."""
-    from coderag_ray.pipelines.similarity import (
-        _probe_buckets, layout_lsh_planes, probe_paths,
-    )
-
-    ann_dir = os.path.join(reader.index_dir, ANN_DIRNAME)
-    if not os.path.isdir(ann_dir):
-        return vector_topk(reader, query, k, dimensions)
-    qv = mock_embedding(query, dimensions)
-    probes = _probe_buckets(qv[None, :], multiprobe, layout_lsh_planes(ann_dir))[0]
-    paths = probe_paths(ann_dir, probes)
-    if not paths:
-        return vector_topk(reader, query, k, dimensions)
-    if len(paths) > 4:
-        # cold probes read one small file per (bucket, partition) — up
-        # to probes×P of them; parquet reads release the GIL, so a
-        # thread pool turns the cold-probe p95 from sum-of-reads into
-        # max-of-reads (warm probes hit the cache either way)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(16, len(paths))) as ex:
-            tables = list(ex.map(_ann_table_cached, paths))
-    else:
-        tables = [_ann_table_cached(p) for p in paths]
-    tbl = pa.concat_tables(tables)
-    E = _emb_matrix(tbl)
-    sims = E @ qv
-    doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    chunk_ids = tbl["chunk_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    top = np.lexsort((chunk_ids, doc_ids, -sims))[:k]
-    return pa.table(
-        {
-            "doc_id": pa.array(doc_ids[top], type=pa.int64()),
-            "chunk_id": pa.array(chunk_ids[top], type=pa.int64()),
-            "similarity": pa.array(sims[top], type=pa.float64()),
-            "part_id": pa.array(tbl["part_id"].to_numpy(zero_copy_only=False)[top], type=pa.int64()),
-            "ordinal": pa.array(tbl["ordinal"].to_numpy(zero_copy_only=False)[top], type=pa.int64()),
-        }
-    )
-
-
-def _emb_matrix(tbl: pa.Table) -> np.ndarray:
-    """Fixed-dim list<float64> column → (n, d) matrix, zero-copy."""
-    from coderag_ray.pipelines.similarity import emb_matrix
-
-    return emb_matrix(tbl["embedding"])
-
-
-_EMB_CACHE: dict[tuple[str, float], np.ndarray] = {}
-_ANN_CACHE: dict[tuple[str, float], pa.Table] = {}
-
-
-def _ann_table_cached(path: str) -> pa.Table:
-    """ANN bucket file, cached by (path, mtime) — probes hit the same
-    hot buckets repeatedly and must not re-read parquet per query."""
-    key = (path, os.path.getmtime(path))
-    tbl = _ANN_CACHE.get(key)
-    if tbl is None:
-        for k in [k for k in _ANN_CACHE if k[0] == path]:
-            del _ANN_CACHE[k]
-        tbl = pq.read_table(path)
-        _ANN_CACHE[key] = tbl
-    return tbl
-
-
-def _emb_matrix_cached(path: str) -> np.ndarray:
-    """Per-partition embedding matrix, cached by (path, mtime) — the
-    exact scan serves many queries per process and must not re-read the
-    sidecar per query (a rebuild changes mtime → fresh entry)."""
-    key = (path, os.path.getmtime(path))
-    E = _EMB_CACHE.get(key)
-    if E is None:
-        for k in [k for k in _EMB_CACHE if k[0] == path]:  # drop stale builds
-            del _EMB_CACHE[k]
-        E = _emb_matrix(pq.read_table(path))
-        _EMB_CACHE[key] = E
-    return E
-
-
 def vector_topk(reader: IndexReader, query: str, k: int,
                 dimensions: int = DEFAULT_DIMENSIONS) -> pa.Table:
-    """Exact cosine top-k over the chunk-embedding sidecars."""
-    qv = mock_embedding(query, dimensions)
-    rows = []
-    for pid in reader.partitions:
-        path = os.path.join(reader.part_dir(pid), "embeddings.parquet")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"no embeddings sidecar in partition {pid}; "
-                                    "run build_embeddings() first")
-        E = _emb_matrix_cached(path)
-        sims = E @ qv  # embeddings are unit vectors
-        h = reader.partition(pid)
-        top = np.lexsort((h.chunk_ids, h.doc_ids, -sims))[:k]
-        for o in top:
-            rows.append((int(h.doc_ids[o]), int(h.chunk_ids[o]), float(sims[o]),
-                         int(pid), int(o)))
-    rows.sort(key=lambda r: (-r[2], r[0], r[1]))
-    rows = rows[:k]
-    return pa.table(
-        {
-            "doc_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "chunk_id": pa.array([r[1] for r in rows], type=pa.int64()),
-            "similarity": pa.array([r[2] for r in rows], type=pa.float64()),
-            "part_id": pa.array([r[3] for r in rows], type=pa.int64()),
-            "ordinal": pa.array([r[4] for r in rows], type=pa.int64()),
-        }
-    )
+    """Exact cosine top-k over the chunk-embedding sidecars (unit
+    vectors), ordered by (similarity DESC, doc_id, chunk_id).
+
+    ``einsum`` rather than ``@``: BLAS gemv sums a row differently
+    depending on the matrix it sits in, so identical chunks could score
+    1 ulp apart; ``einsum`` gives every row the same bits under any
+    slicing of the matrix."""
+    E = reader.embeddings()
+    if len(E) and E.shape[1] != dimensions:
+        raise ValueError(f"embedding sidecars have {E.shape[1]} dimensions, "
+                         f"the query asked for {dimensions}")
+    rows = reader.ordinal_space()
+    sims = np.einsum("ij,j->i", E, mock_embedding(query, dimensions)) if len(E) \
+        else np.empty(0)
+    cand = np.arange(len(sims))
+    if 0 < k < len(sims):
+        # every row at or above the k-th similarity, ties included
+        cand = np.flatnonzero(sims >= np.partition(sims, len(sims) - k)[len(sims) - k])
+    top = cand[np.lexsort((rows.chunk_ids[cand], rows.doc_ids[cand], -sims[cand]))][:k]
+    pids, ords = rows.locate(top)
+    return pa.table({
+        "doc_id": pa.array(rows.doc_ids[top], type=pa.int64()),
+        "chunk_id": pa.array(rows.chunk_ids[top], type=pa.int64()),
+        "similarity": pa.array(sims[top], type=pa.float64()),
+        "part_id": pa.array(pids, type=pa.int64()),
+        "ordinal": pa.array(ords, type=pa.int64()),
+    })
 
 
 def hybrid_search(index: IndexReader | str, query: str, k: int = 10,
                   vector_weight: float = 0.5,
-                  dimensions: int = DEFAULT_DIMENSIONS,
-                  use_ann: bool = False) -> pa.Table:
-    """→ (doc_id, chunk_id, score, method, similarity, bm25_score).
-
-    ``use_ann=True`` sources the vector side from the LSH bucket index
-    (:func:`vector_topk_ann`) instead of the exact partition scan —
-    approximate recall, bucket-local latency; build it once with
-    :func:`build_vector_ann`."""
+                  dimensions: int = DEFAULT_DIMENSIONS) -> pa.Table:
+    """→ (rank, doc_id, chunk_id, score, method, similarity, bm25_score)."""
     reader = index if isinstance(index, IndexReader) else IndexReader(index)
-    if use_ann:
-        vec = vector_topk_ann(reader, query, k, dimensions)
-    else:
-        vec = vector_topk(reader, query, k, dimensions)
+    vec = vector_topk(reader, query, k, dimensions)
     bm = search(reader, query, k, with_doc_columns=False)
 
-    max_vec = max([s for s in vec["similarity"].to_pylist()] + [0.01])
-    max_bm = max([s for s in bm["score"].to_pylist()] + [0.01])
+    vd, vc, vs = (vec[c].to_numpy() for c in ("doc_id", "chunk_id", "similarity"))
+    bd, bc, bs = (bm[c].to_numpy() for c in ("doc_id", "chunk_id", "score"))
+    vn = (vs / np.max(vs, initial=0.01)) * vector_weight
+    bn = (bs / np.max(bs, initial=0.01)) * (1.0 - vector_weight)
 
-    fused: dict[tuple[int, int], dict] = {}
-    for r in vec.to_pylist():
-        key = (r["doc_id"], r["chunk_id"])
-        fused[key] = {
-            "doc_id": r["doc_id"], "chunk_id": r["chunk_id"],
-            "score": (r["similarity"] / max_vec) * vector_weight,
-            "method": "vector", "similarity": r["similarity"], "bm25_score": None,
-        }
-    for r in bm.to_pylist():
-        key = (r["doc_id"], r["chunk_id"])
-        norm = (r["score"] / max_bm) * (1.0 - vector_weight)
-        if key in fused:
-            fused[key]["score"] += norm
-            fused[key]["method"] = "hybrid"
-            fused[key]["bm25_score"] = r["score"]
-        else:
-            fused[key] = {
-                "doc_id": r["doc_id"], "chunk_id": r["chunk_id"], "score": norm,
-                "method": "tfidf", "similarity": None, "bm25_score": r["score"],
-            }
-    out = sorted(fused.values(), key=lambda d: (-d["score"], d["doc_id"], d["chunk_id"]))[:k]
-    return pa.table(
-        {
-            "rank": pa.array(range(1, len(out) + 1), type=pa.int32()),
-            "doc_id": pa.array([d["doc_id"] for d in out], type=pa.int64()),
-            "chunk_id": pa.array([d["chunk_id"] for d in out], type=pa.int64()),
-            "score": pa.array([d["score"] for d in out], type=pa.float64()),
-            "method": pa.array([d["method"] for d in out], type=pa.string()),
-            "similarity": pa.array([d["similarity"] for d in out], type=pa.float64()),
-            "bm25_score": pa.array([d["bm25_score"] for d in out], type=pa.float64()),
-        }
-    )
+    # full outer match on (doc_id, chunk_id) over the stacked rows,
+    # vector side first: the stable sort puts a key found on both sides
+    # as (vector row, BM25 row) next to each other
+    doc, chunk = np.concatenate((vd, bd)), np.concatenate((vc, bc))
+    o = np.lexsort((chunk, doc))
+    same = (doc[o[1:]] == doc[o[:-1]]) & (chunk[o[1:]] == chunk[o[:-1]])
+    vi, bi = o[:-1][same], o[1:][same]
+    # the matched BM25 row folds into its vector row
+    has_v = np.arange(len(doc)) < len(vd)
+    has_b = ~has_v
+    has_b[vi] = True
+    z_v, z_b = np.zeros(len(vd)), np.zeros(len(bd))
+    sim, s_v = np.concatenate((vs, z_b)), np.concatenate((vn, z_b))
+    b25, s_b = np.concatenate((z_v, bs)), np.concatenate((z_v, bn))
+    b25[vi], s_b[vi] = b25[bi], s_b[bi]
+    # a one-sided row keeps its own score (a -0.0 stays -0.0)
+    score = np.where(has_v & has_b, s_v + s_b, np.where(has_v, s_v, s_b))
+    method = np.where(has_v & has_b, "hybrid", np.where(has_v, "vector", "tfidf"))
+    live = np.ones(len(doc), dtype=bool)
+    live[bi] = False
+    rows = np.flatnonzero(live)
+    top = rows[np.lexsort((chunk[rows], doc[rows], -score[rows]))][:k]
+    return pa.table({
+        "rank": pa.array(np.arange(1, len(top) + 1), type=pa.int32()),
+        "doc_id": pa.array(doc[top], type=pa.int64()),
+        "chunk_id": pa.array(chunk[top], type=pa.int64()),
+        "score": pa.array(score[top], type=pa.float64()),
+        "method": pa.array(method[top].tolist(), type=pa.string()),
+        "similarity": pa.array(sim[top], type=pa.float64(), mask=~has_v[top]),
+        "bm25_score": pa.array(b25[top], type=pa.float64(), mask=~has_b[top]),
+    })

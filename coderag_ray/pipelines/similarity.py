@@ -18,7 +18,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from coderag_ray.functions.embeddings import emb_matrix
 from coderag_ray.functions.rounding import round6
+from coderag_ray.functions.staging import sweep_stale_staging
 
 # ds.stats() of the last ANN probe scan — per-operator wall/CPU audit;
 # printed by CODERAG_BENCH_STATS=1 bench.py
@@ -58,14 +60,6 @@ def _planes(dim: int, n_planes: int = LSH_PLANES) -> np.ndarray:
 
 def _normalize(E: np.ndarray) -> np.ndarray:
     return E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True), 1e-30)
-
-
-def emb_matrix(col) -> np.ndarray:
-    """Fixed-dim ``list<float>`` column → (n, d) float64 matrix via
-    zero-copy flatten+reshape (``np.stack`` over per-row objects is
-    ~10× slower and allocates n small arrays)."""
-    la = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    return np.asarray(la.flatten(), dtype=np.float64).reshape(len(la), -1)
 
 
 def _grab_queries(emb_ds, query_ids: list[int]) -> pd.DataFrame:
@@ -304,43 +298,6 @@ def recover_dir_from_bak(final: str) -> None:
     bak = final.rstrip("/") + ".bak"
     if not os.path.isdir(final) and os.path.isdir(bak):
         os.replace(bak, final)
-
-
-def _pid_alive(pid: int) -> bool:
-    import os
-
-    try:
-        os.kill(pid, 0)
-        return True
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except OSError:
-        return False
-
-
-def sweep_stale_staging(parent: str, prefix: str) -> None:
-    """Remove orphaned staging dirs from CRASHED builds only: names
-    embed the builder's pid, and a dir is swept when that pid is no
-    longer alive — a live concurrent builder's staging is left alone
-    (sweeping by prefix alone raced concurrent builds and could promote
-    a half-deleted layout)."""
-    import os
-    import re
-    import shutil
-
-    try:
-        names = os.listdir(parent)
-    except OSError:
-        return
-    for name in names:
-        if not name.startswith(prefix):
-            continue
-        m = re.search(r"(\d+)$", name)
-        if m and _pid_alive(int(m.group(1))):
-            continue  # live builder — not ours to clean
-        shutil.rmtree(os.path.join(parent, name), ignore_errors=True)
 
 
 def _probe_buckets(Qn: np.ndarray, multiprobe: int,

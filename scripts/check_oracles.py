@@ -97,6 +97,11 @@ def main():
 
     failed = []
     records: dict[str, dict] = {}
+    for name in sorted(only - qs.keys()):
+        print(f"FAIL {name}: not a registered query")
+        failed.append(name)
+        records[name] = {"rows_match": False, "schema_match": False,
+                         "hash_match": False, "err": "unknown_query"}
     import time
     for name, fn in qs.items():
         if only and name not in only:
@@ -146,7 +151,11 @@ def main():
         with open(json_out, "w") as f:
             json.dump(records, f, indent=2)
         print(f"wrote {json_out}")
-    print("\n" + ("ALL PASS" if not failed else f"FAILED: {failed}"))
+    n_hashed = sum(r["hash_match"] is True for r in records.values())
+    rows_only = [n for n, r in records.items() if r["err"] == "no_oracle"]
+    print("\n" + ("ALL PASS" if not failed else f"FAILED: {failed}")
+          + f" ({n_hashed} hash-checked"
+          + (f"; rows only, no SQL oracle: {rows_only})" if rows_only else ")"))
     ray.shutdown()
     sys.exit(1 if failed else 0)
 

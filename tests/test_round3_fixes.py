@@ -1,8 +1,6 @@
-"""Round-3 fixes: cache-key completeness, stale-ANN-dir rebuilds,
-gitignore dir-only semantics, scale-safe IVF training, lang-quota
-combiner under skew, missing-query-id validation."""
-
-import os
+"""Round-3 fixes: cache-key completeness, gitignore dir-only semantics,
+scale-safe IVF training, lang-quota combiner under skew, missing-query-id
+validation."""
 
 import numpy as np
 import pyarrow as pa
@@ -50,51 +48,6 @@ def test_cached_searcher_mode_not_cross_served(ray_session, tmp_path):
     again = cs.search("validate credentials", 5, mode="cosine", with_doc_columns=False)
     assert again.equals(cos)
     assert cs.cache.stats().hits >= 1
-
-
-# --------------------------------------------------------------------------
-# ANN rebuild must not serve stale buckets; buckets are compacted
-# --------------------------------------------------------------------------
-
-def test_vector_ann_rebuild_clears_stale_buckets(ray_session, tmp_path):
-    import ray.data
-
-    from coderag_ray.config import IndexConfig
-    from coderag_ray.corpus import make_corpus
-    from coderag_ray.index.build import build_index
-    from coderag_ray.index.reader import IndexReader
-    from coderag_ray.pipelines.hybrid import (
-        ANN_DIRNAME, build_embeddings, build_vector_ann, vector_topk_ann,
-    )
-
-    d = str(tmp_path / "idx")
-    cfg = IndexConfig(num_partitions=2)
-    build_index(ray.data.from_arrow(make_corpus(80, seed=5)), d, cfg)
-    build_embeddings(d, dimensions=16)
-    n1 = build_vector_ann(d, dimensions=16)
-    ann = os.path.join(d, ANN_DIRNAME)
-    # compacted: exactly one data file per bucket, no map-side part files
-    for b in os.listdir(ann):
-        if not b.startswith("bucket="):
-            continue
-        files = os.listdir(os.path.join(ann, b))
-        assert files == ["data.parquet"], files
-
-    # rebuild from a SMALLER corpus in the SAME index dir: total indexed
-    # rows must shrink — stale ANN buckets from the previous build must
-    # not survive the rebuild
-    build_index(ray.data.from_arrow(make_corpus(20, seed=5)), d, cfg)
-    build_embeddings(d, dimensions=16)
-    n2 = build_vector_ann(d, dimensions=16)
-    assert n2 < n1
-    import pyarrow.parquet as pq
-    total = sum(
-        pq.read_table(os.path.join(ann, b, "data.parquet")).num_rows
-        for b in os.listdir(ann) if b.startswith("bucket=")
-    )
-    assert total == n2
-    out = vector_topk_ann(IndexReader(d), "database connection", 5, dimensions=16)
-    assert out.num_rows <= 5
 
 
 # --------------------------------------------------------------------------

@@ -75,6 +75,29 @@ def test_runs_dir_cleaned_after_failed_merge(ray_session, tmp_path, monkeypatch)
     assert not os.path.exists(os.path.join(d, "_runs"))
 
 
+def test_stale_spill_dirs_of_dead_builds_swept(tmp_path, monkeypatch):
+    """A SIGKILLed build leaves ``coderag_runs_<index>_<pid>`` behind;
+    the next build's run-dir choice removes it, but never the spill
+    directory of a live process."""
+    import subprocess
+    import sys
+
+    import coderag_ray.index.run_shuffle as rs
+
+    dead = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True)
+    shm = tmp_path / "shm"
+    stale = shm / f"coderag_runs_crashed_{int(dead.stdout)}"
+    live = shm / f"coderag_runs_other_{os.getpid()}"
+    other = shm / "unrelated_1"
+    for p in (stale, live, other):
+        (p / "part=00000").mkdir(parents=True)
+    monkeypatch.setattr(rs, "_SHM", str(shm))
+    assert rs._choose_run_dir(str(tmp_path / "idx")).startswith(str(shm))
+    assert not stale.exists()
+    assert live.exists() and other.exists()
+
+
 def test_runs_resume_single_partition(ray_session, tmp_path):
     import pyarrow as pa
     import ray.data
