@@ -735,9 +735,9 @@ def q_repetition(sf_dir: str):
 
 
 def q_langid(sf_dir: str):
-    from coderag_ray.pipelines.text_analysis import LangIdStage
+    from coderag_ray.pipelines.text_analysis import lang_id_batch
 
-    return _docs(sf_dir).map_batches(LangIdStage, batch_format="pyarrow", concurrency=2)
+    return _docs(sf_dir).map_batches(lang_id_batch, batch_format="pyarrow")
 
 
 def q_hash_sample(sf_dir: str):
@@ -777,7 +777,7 @@ def q_mixture(sf_dir: str):
 def q_lang_quota(sf_dir: str):
     from coderag_ray.pipelines.sampling import lang_quota_sample
 
-    return lang_quota_sample(_docs(sf_dir), quota=20)  # LangIdStage reads text
+    return lang_quota_sample(_docs(sf_dir), quota=20)  # lang_id_batch reads text
 
 
 def q_redact(sf_dir: str):

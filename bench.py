@@ -224,11 +224,13 @@ def run_bench() -> dict:
     # throughput together
     batch_queries = queries * 24
     # from_arrow yields ONE block — split it so the pool's actors all
-    # receive inputs (Ray warns and serializes the whole feed otherwise)
+    # receive inputs (Ray warns and serializes the whole feed otherwise).
+    # Materialized before the clock: at 4 CPUs or fewer the pool below
+    # holds every CPU, and a lazy repartition would never get one
     qds = ray.data.from_arrow(
         pa.table({"query_id": pa.array(range(len(batch_queries)), type=pa.int64()),
                   "text": pa.array(batch_queries)})
-    ).repartition(16)
+    ).repartition(16).materialize()
     n_actors = max(2, min(4, NUM_CPUS // 8))
     pool_cpus = max(1, min(2, NUM_CPUS // n_actors))
     t0 = time.perf_counter()
@@ -299,7 +301,8 @@ def run_bench() -> dict:
                      "q_dedup_clusters", "q_curation", "q_decontam", "q_knn",
                      "q_lsh_knn", "q_ivf_knn", "q_events_window",
                      "q_events_hopping", "q_sessions", "q_text_stats",
-                     "q_keywords", "q_media_features", "q_frame_sample",
+                     "q_keywords", "q_langid", "q_lang_quota",
+                     "q_media_features", "q_frame_sample", "q_media_resize",
                      "q_pack", "q_repetition", "q_mixture", "q_split", "q_redact",
                      "q_asof", "q_range_join", "q_temporal_join",
                      "q_ivfpq_knn", "q_substring_dup"):

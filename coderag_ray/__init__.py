@@ -5,8 +5,10 @@ A from-scratch rebuild of the capabilities of matperez/coderag
 distributed inverted-index build + BM25 query pipeline over Parquet
 tables of source code, expressed entirely in Ray Data
 (``ray.data.Dataset`` → ``map_batches`` over zero-copy Arrow batches,
-a map-side run-spill shuffle for the partition build, actor pools for
-stateful query scoring).
+a map-side run-spill shuffle for the partition build).  Stateless
+stages are plain task maps; only the two stages with loaded state run
+as actor pools: the BPE tokenizer (merge table) and batch query scoring
+(resident index).
 
 Layout
 ------
@@ -15,7 +17,8 @@ Layout
 - ``stages/``    Ray Data batch transforms (ingest, chunk, tokenize).
 - ``index/``     distributed index build, partition writer, manifest
   (checkpoint/resume), index reader.
-- ``query/``     BM25 top-k search (exact vectorized + block-max WAND).
+- ``query/``     exact BM25 top-k search (resident champion lists,
+  per-partition exhaustive, cosine), caching, sharded serving.
 - ``pipelines/`` training-data operations beyond the reference: dedup
   (exact / MinHash-LSH / SimHash / n-gram Jaccard / embedding cosine),
   similarity search, text analysis, windowed event aggregation,

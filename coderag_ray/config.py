@@ -24,27 +24,6 @@ POSTING_BLOCK = 128  # docs per skip block (block-max metadata granularity)
 SCHEMA_VERSION = 1
 
 
-def auto_concurrency(lo: int = 2, cap: int | None = None) -> tuple[int, int]:
-    """Autoscaling ``(min, max)`` actor-pool size for heavy
-    ``map_batches`` stages: min ``lo`` actors, max = the cluster's CPU
-    count (falling back to the host's).  A fixed ``concurrency=2``
-    starves a 32-CPU box — the round-2 bench's worst pipeline
-    (q_minhash_pairs, 29.7 s) spent its wall time in exactly that."""
-    import os
-
-    try:
-        import ray
-
-        n = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    except Exception:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 4
-    if cap is not None:
-        n = min(n, cap)
-    return (lo, max(lo, n))
-
-
 class _SchemaHashWarningFilter(logging.Filter):
     """Drops the cosmetic "Failed to hash the schemas" WARNING Ray's
     metadata probes emit whenever a parquet schema carries pandas
@@ -133,9 +112,9 @@ def dataset_rows_estimate(ds, allow_execute: bool = True) -> int:
 
 def auto_buckets(rows_or_ds, target_rows: int = 2_000_000,
                  lo: int = 64, hi: int = 65_536) -> int:
-    """Bucket count for bucketed group-bys, derived from input size the
-    way :func:`auto_concurrency` tracks cluster size (VERDICT r3 item 3
-    — a fixed 64/256 is a scale constant that stops holding at 100×).
+    """Bucket count for bucketed group-bys, derived from input size
+    (VERDICT r3 item 3 — a fixed 64/256 is a scale constant that stops
+    holding at 100×).
 
     Each bucket becomes ONE in-memory pandas group under ``map_groups``,
     so buckets ≈ ``ceil(rows / target_rows)``, rounded up to a power of

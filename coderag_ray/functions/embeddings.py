@@ -7,8 +7,9 @@ per dimension, then unit-normalization.  Exactly reproduced here
 (int32-wrapped ``h*31 + charCode`` like ``Math.imul``) so an index
 built by either engine embeds identically.
 
-A real model provider drops into the same actor-pool stage shape
-(``EmbedStage`` — load in ``__init__``, batch in ``__call__``).
+A real model provider drops into the same callable shape as
+:class:`MockProvider` (load in ``__init__``, embed a list of texts in
+``__call__``) and registers with :data:`registry`.
 """
 
 from __future__ import annotations
@@ -100,18 +101,3 @@ class MockProvider:
 
 registry = EmbeddingProviderRegistry()
 
-
-class EmbedStage:
-    """Actor-pool ``map_batches`` stage: text column → embedding list column."""
-
-    def __init__(self, dimensions: int = DEFAULT_DIMENSIONS, text_col: str = "content"):
-        self.dimensions = dimensions
-        self.text_col = text_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        embs = np.stack([
-            mock_embedding(x or "", self.dimensions) for x in t[self.text_col].to_pylist()
-        ])
-        return t.append_column(
-            "embedding", pa.array(list(embs), type=pa.list_(pa.float64()))
-        )

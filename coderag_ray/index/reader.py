@@ -120,7 +120,6 @@ class IndexReader:
 
         self._post_cache: OrderedDict[tuple[int, str], dict | None] = OrderedDict()
         self._post_cache_cap = 200_000
-        self._full_parts: set[int] = set()
         self._preload_checked = False
         import threading
 
@@ -290,7 +289,8 @@ class IndexReader:
         This is the query-server scale design: each scorer holds its
         partition shard's postings in memory (Lucene/ES-style); the
         row-group-pruned parquet path remains the cold/oversized
-        fallback (and serves the WAND/cosine block-structured paths).
+        fallback, and serves the per-partition exhaustive and cosine
+        scorers (filtered, cosine and non-resident queries).
         Fully vectorized: each partition's posting buffers are decoded in
         one pass (:func:`coderag_ray.functions.varint.decode_delta_runs`)
         — no per-term Python loop.  Returns True if resident.
@@ -474,8 +474,6 @@ class IndexReader:
                 rec = self._post_cache[key]
                 if rec is not None:
                     out[t] = rec
-            elif part_id in self._full_parts:
-                continue  # fully resident: a cache miss means the term is absent
             else:
                 missing.append(t)
         if missing:

@@ -2,7 +2,7 @@
 re-expressed Ray-native.
 
 - :func:`build_embeddings` adds an ordinal-aligned ``embeddings.parquet``
-  sidecar to every index partition (actor-pool ``EmbedStage`` over each
+  sidecar to every index partition (:class:`MockProvider` over each
   partition's chunk content — one task per partition, no shuffle).
 - :func:`vector_topk` is the one exact vector scorer: the reader holds
   every sidecar as one resident ``(n_chunks, d)`` matrix
@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from coderag_ray.functions.embeddings import DEFAULT_DIMENSIONS, EmbedStage, mock_embedding
+from coderag_ray.functions.embeddings import DEFAULT_DIMENSIONS, MockProvider, mock_embedding
 from coderag_ray.index.reader import IndexReader
 from coderag_ray.query.search import search
 
@@ -41,8 +41,9 @@ def build_embeddings(index_dir: str, dimensions: int = DEFAULT_DIMENSIONS) -> in
     @ray.remote
     def embed_part(part_dir: str, dims: int) -> int:
         chunks = pq.read_table(os.path.join(part_dir, "chunks.parquet"))
-        stage = EmbedStage(dims, text_col="content")
-        out = stage(chunks).select(["ordinal", "embedding"])
+        embs = MockProvider(dims)(chunks["content"].to_pylist())
+        out = chunks.select(["ordinal"]).append_column(
+            "embedding", pa.array(list(embs), type=pa.list_(pa.float64())))
         tmp = os.path.join(part_dir, f"_tmp_embeddings_{os.getpid()}.parquet")
         pq.write_table(out, tmp, compression="zstd")
         os.replace(tmp, os.path.join(part_dir, "embeddings.parquet"))

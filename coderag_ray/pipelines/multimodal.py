@@ -5,9 +5,9 @@ actual decoders (image/video libs) are NOT in this container, so
 ``decode_image`` (PIL hook) and ``decode_video_frames`` (PyAV hook)
 raise ``NotImplementedError`` when their runtime is absent and the
 pipelines run a clearly-marked deterministic fake — but the Ray-side
-plumbing (schema, actor-pool signature, small batch size for wide
-binary rows, output layout) is real and tested, and each hook has a
-real-path pytest that activates the moment the runtime appears.
+plumbing (schema, stateless ``map_batches`` functions, small batch size
+for wide binary rows, output layout) is real and tested, and each hook
+has a real-path pytest that activates the moment the runtime appears.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def decode_image(payload: bytes) -> "object":
     except ImportError as exc:
         raise NotImplementedError(
             "image decoding requires an imaging library not installed in "
-            "this environment; MediaFeatureStage uses the deterministic "
+            "this environment; media_feature_batch uses the deterministic "
             "fake instead"
         ) from exc
     import io
@@ -49,67 +49,55 @@ def real_decoder_available() -> bool:
         return False
 
 
-class MediaFeatureStage:
-    """Actor-pool ``map_batches`` stage: binary payload → feature row.
+def payload_batch(t: pa.Table) -> pa.Table:
+    """documents → (doc_id, payload): utf-8 of ``text``, standing in for
+    image/video bytes."""
+    return pa.table(
+        {
+            "doc_id": pc.cast(t["doc_id"], pa.int64()),
+            "payload": pc.cast(t["text"], pa.binary()),
+        }
+    )
 
-    ``__init__`` is where a real model/decoder would load once per
-    actor; ``__call__`` handles a (small) batch of wide binary rows.
+
+def media_feature_batch(t: pa.Table, use_real_decoder: bool = False) -> pa.Table:
+    """Binary payload → feature row.
+
     Fake features are pure functions of the payload bytes so the DuckDB
     oracle can mirror them: ``n_bytes``, ``payload_sha256``, and
     ``fake_width/fake_height`` derived from ``n_bytes``.
     """
-
-    def __init__(self, use_real_decoder: bool = False):
-        self.use_real_decoder = use_real_decoder
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        payloads = t["payload"].to_pylist()
-        n_bytes = np.array([len(p) for p in payloads], dtype=np.int64)
-        shas = [hashlib.sha256(p).hexdigest() for p in payloads]
-        if self.use_real_decoder:
-            # real path: decoded dimensions replace the fake derivation
-            # (raises NotImplementedError when no imaging lib exists —
-            # the driver queries pin the deterministic fake for oracle
-            # parity; real users opt in via use_real_decoder=True)
-            dims = [decode_image(p).size for p in payloads]
-            widths = np.array([d[0] for d in dims], dtype=np.int64)
-            heights = np.array([d[1] for d in dims], dtype=np.int64)
-        else:
-            widths = (n_bytes % 64 + 1).astype(np.int64)
-            heights = ((n_bytes // 64) % 64 + 1).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "n_bytes": pa.array(n_bytes),
-                "payload_sha256": pa.array(shas, type=pa.string()),
-                "fake_width": pa.array(widths),
-                "fake_height": pa.array(heights),
-            }
-        )
+    payloads = t["payload"].to_pylist()
+    n_bytes = np.array([len(p) for p in payloads], dtype=np.int64)
+    shas = [hashlib.sha256(p).hexdigest() for p in payloads]
+    if use_real_decoder:
+        # real path: decoded dimensions replace the fake derivation
+        # (raises NotImplementedError when no imaging lib exists —
+        # the q_* queries pin the deterministic fake for oracle
+        # parity; real users opt in via use_real_decoder=True)
+        dims = [decode_image(p).size for p in payloads]
+        widths = np.array([d[0] for d in dims], dtype=np.int64)
+        heights = np.array([d[1] for d in dims], dtype=np.int64)
+    else:
+        widths = (n_bytes % 64 + 1).astype(np.int64)
+        heights = ((n_bytes // 64) % 64 + 1).astype(np.int64)
+    return pa.table(
+        {
+            "doc_id": pc.cast(t["doc_id"], pa.int64()),
+            "n_bytes": pa.array(n_bytes),
+            "payload_sha256": pa.array(shas, type=pa.string()),
+            "fake_width": pa.array(widths),
+            "fake_height": pa.array(heights),
+        }
+    )
 
 
-def media_features(docs_ds, batch_size: int = 256, concurrency=None):
-    """documents → binary payload (utf-8 of text, standing in for image
-    bytes) → actor-pool feature extraction.  ``concurrency=None`` →
-    autoscaling pool sized to the cluster's CPUs."""
-    from coderag_ray.config import auto_concurrency
-
-    if concurrency is None:
-        concurrency = auto_concurrency()
-
-    def to_payload(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "payload": pc.cast(t["text"], pa.binary()),
-            }
-        )
-
-    return docs_ds.map_batches(to_payload, batch_format="pyarrow").map_batches(
-        MediaFeatureStage,
+def media_features(docs_ds, batch_size: int = 256):
+    """documents → binary payload → feature extraction."""
+    return docs_ds.map_batches(payload_batch, batch_format="pyarrow").map_batches(
+        media_feature_batch,
         batch_format="pyarrow",
         batch_size=batch_size,  # wide binary rows → small batches
-        concurrency=concurrency,
     )
 
 
@@ -118,7 +106,7 @@ def iter_video_frames(payload: bytes, every_n: int = 1,
     """Real frame decode via PyAV when importable (detect-and-use hook,
     same pattern as :func:`decode_image`/PIL) — raises
     ``NotImplementedError`` otherwise (no video library ships in this
-    sandbox; FrameSampleStage then uses the deterministic fake, and the
+    sandbox; frame_sample_batch then uses the deterministic fake, and the
     PyAV path is covered by a pytest that skips unless importable).
     GENERATOR of RGB ``numpy`` arrays for every ``every_n``-th frame, at
     most ``max_frames`` — streaming, so a consumer holding one frame at
@@ -128,7 +116,7 @@ def iter_video_frames(payload: bytes, every_n: int = 1,
     except ImportError as exc:
         raise NotImplementedError(
             "video decoding requires a media library (PyAV/ffmpeg) not "
-            "installed in this environment; FrameSampleStage uses the "
+            "installed in this environment; frame_sample_batch uses the "
             "deterministic fake instead"
         ) from exc
     import io
@@ -160,82 +148,49 @@ def real_video_decoder_available() -> bool:
         return False
 
 
-class FrameSampleStage:
-    """Actor-pool flat-map stage: video payload → one row per sampled
-    frame (the frame-sampling step of a multimodal training pipeline).
+def frame_sample_batch(t: pa.Table, use_real_decoder: bool = False,
+                       every_n: int = 1, max_frames: int | None = 64) -> pa.Table:
+    """Flat map: video payload → one row per sampled frame (the
+    frame-sampling step of a multimodal training pipeline).
 
     The fake sampler is a pure function of the payload so the DuckDB
     oracle mirrors it exactly: ``n_frames = n_bytes // 4096 % 8 + 1``,
-    per-frame identity ``sha256(payload ‖ str(frame_idx))``.  A real
-    decoder drops into ``__init__``/``decode_video_frames`` with the
-    same row-expansion contract (1 payload → N frame rows).
+    per-frame identity ``sha256(payload ‖ str(frame_idx))``.  The real
+    path (PyAV hook, ``use_real_decoder=True``) keeps the same
+    1 payload → N frame rows contract, frame identity = sha256 of the
+    decoded pixels, every ``every_n``-th frame.  ``max_frames`` is a
+    default CAP: a real 10-min 1080p payload is ~18k frames of ~6 MB
+    RGB each — decoding them all would OOM the worker; the sampler's
+    whole point is a bounded subset (pass None to lift).
     """
-
-    def __init__(self, use_real_decoder: bool = False, every_n: int = 1,
-                 max_frames: int | None = 64):
-        self.use_real_decoder = use_real_decoder
-        self.every_n = every_n
-        # default CAP: a real 10-min 1080p payload is ~18k frames of
-        # ~6 MB RGB each — decoding them all would OOM the worker; the
-        # sampler's whole point is a bounded subset (pass None to lift)
-        self.max_frames = max_frames
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        payloads = t["payload"].to_pylist()
-        doc_ids = pc.cast(t["doc_id"], pa.int64()).to_pylist()
-        out_doc, out_idx, out_sha = [], [], []
-        if self.use_real_decoder:
-            # real path (PyAV hook): same 1-payload → N-frame-rows
-            # contract, frame identity = sha256 of the decoded pixels;
+    doc_ids = pc.cast(t["doc_id"], pa.int64()).to_pylist()
+    out_doc, out_idx, out_sha = [], [], []
+    for did, p in zip(doc_ids, t["payload"].to_pylist()):
+        if use_real_decoder:
             # frames are hashed as they stream off the decoder — only
             # one decoded ndarray is alive at a time
-            for did, p in zip(doc_ids, payloads):
-                for i, fr in enumerate(iter_video_frames(
-                        p, every_n=self.every_n, max_frames=self.max_frames)):
-                    out_doc.append(did)
-                    out_idx.append(i)
-                    out_sha.append(hashlib.sha256(fr.tobytes()).hexdigest())
-            return pa.table(
-                {
-                    "doc_id": pa.array(out_doc, type=pa.int64()),
-                    "frame_idx": pa.array(out_idx, type=pa.int64()),
-                    "frame_sha256": pa.array(out_sha, type=pa.string()),
-                }
-            )
-        for did, p in zip(doc_ids, payloads):
-            n_frames = (len(p) // 4096) % 8 + 1
-            for i in range(n_frames):
-                out_doc.append(did)
-                out_idx.append(i)
-                out_sha.append(hashlib.sha256(p + str(i).encode("utf-8")).hexdigest())
-        return pa.table(
-            {
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "frame_idx": pa.array(out_idx, type=pa.int64()),
-                "frame_sha256": pa.array(out_sha, type=pa.string()),
-            }
-        )
+            shas = (hashlib.sha256(fr.tobytes()).hexdigest()
+                    for fr in iter_video_frames(p, every_n=every_n, max_frames=max_frames))
+        else:
+            shas = (hashlib.sha256(p + str(i).encode("utf-8")).hexdigest()
+                    for i in range((len(p) // 4096) % 8 + 1))
+        for i, sha in enumerate(shas):
+            out_doc.append(did)
+            out_idx.append(i)
+            out_sha.append(sha)
+    return pa.table(
+        {
+            "doc_id": pa.array(out_doc, type=pa.int64()),
+            "frame_idx": pa.array(out_idx, type=pa.int64()),
+            "frame_sha256": pa.array(out_sha, type=pa.string()),
+        }
+    )
 
 
-def frame_samples(docs_ds, batch_size: int = 256, concurrency=None):
-    """documents → binary payload → actor-pool frame sampling.
-    ``concurrency=None`` → autoscaling pool sized to the cluster."""
-    from coderag_ray.config import auto_concurrency
-
-    if concurrency is None:
-        concurrency = auto_concurrency()
-
-    def to_payload(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "payload": pc.cast(t["text"], pa.binary()),
-            }
-        )
-
-    return docs_ds.map_batches(to_payload, batch_format="pyarrow").map_batches(
-        FrameSampleStage, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=concurrency,
+def frame_samples(docs_ds, batch_size: int = 256):
+    """documents → binary payload → frame sampling."""
+    return docs_ds.map_batches(payload_batch, batch_format="pyarrow").map_batches(
+        frame_sample_batch, batch_format="pyarrow", batch_size=batch_size,
     )
 
 

@@ -138,8 +138,7 @@ def lang_quota_sample(docs_ds, quota: int = 20):
     winners always survive it), and only those ≤ quota×n_langs summary
     rows per batch reach the language-keyed merge.
     """
-    from coderag_ray.config import auto_concurrency
-    from coderag_ray.pipelines.text_analysis import LangIdStage
+    from coderag_ray.pipelines.text_analysis import lang_id_batch
 
     def local_quota(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -163,8 +162,7 @@ def lang_quota_sample(docs_ds, quota: int = 20):
         })
 
     return schema_stable(
-        docs_ds.map_batches(LangIdStage, batch_format="pyarrow",
-                            concurrency=auto_concurrency())
+        docs_ds.map_batches(lang_id_batch, batch_format="pyarrow")
         .map_batches(local_quota, batch_format="pyarrow")
         .groupby("lang_pred")
         .map_groups(head_quota, batch_format="pandas"),

@@ -12,7 +12,6 @@ decimals on both sides.
 from __future__ import annotations
 
 import hashlib
-import re
 
 import numpy as np
 
@@ -32,6 +31,9 @@ LANG_PROFILES: dict[str, list[str]] = {
     "fr": ["le", "la", "de", "et", "est", "les"],
 }
 CJK_PATTERN = r"[一-鿿]"
+# lang_id_batch's profiles, alphabetical (the argmax tie order)
+_LANGS = np.array(sorted(LANG_PROFILES), dtype=object)
+_LANG_WORDS = [pa.array(sorted(set(LANG_PROFILES[lang]))) for lang in _LANGS]
 
 
 def _nonempty_counts(split_list: pa.ListArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,38 +156,31 @@ def quality_batch(t: pa.Table) -> pa.Table:
     )
 
 
-class LangIdStage:
-    """Stopword-profile language ID — an actor-pool stage (profiles and
-    regexes compiled once per actor, ray_guide actor-pool pattern)."""
-
-    def __init__(self):
-        self.profiles = {lang: set(ws) for lang, ws in LANG_PROFILES.items()}
-        self.ws = re.compile(WS_SPLIT)
-        self.cjk = re.compile(CJK_PATTERN)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        text = t["text"].combine_chunks() if isinstance(t["text"], pa.ChunkedArray) else t["text"]
-        lowered = pc.utf8_lower(text)
-        words = pc.split_pattern_regex(lowered, pattern=WS_SPLIT)
-        flat = pc.list_flatten(words)
-        lens = pc.list_value_length(words).to_numpy(zero_copy_only=False).astype(np.int64)
-        parents = np.repeat(np.arange(len(words), dtype=np.int64), lens)
-        n_rows = t.num_rows
-        has_cjk = pc.match_substring_regex(text, CJK_PATTERN).to_numpy(zero_copy_only=False)
-        scores = np.zeros((len(self.profiles), n_rows), dtype=np.int64)
-        for li, (lang, prof) in enumerate(sorted(self.profiles.items())):
-            hit = pc.is_in(flat, value_set=pa.array(sorted(prof))).to_numpy(zero_copy_only=False)
-            scores[li] = np.bincount(parents[hit], minlength=n_rows)
-        langs = sorted(self.profiles)
-        best = np.argmax(scores, axis=0)  # ties → first (alphabetical) — frozen
-        best_score = scores[best, np.arange(n_rows)]
-        out = np.where(has_cjk, "zh", np.where(best_score > 0, np.array(langs, dtype=object)[best], "und"))
-        return pa.table(
-            {
-                "doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "lang_pred": pa.array(out.tolist(), type=pa.string()),
-            }
-        )
+def lang_id_batch(t: pa.Table) -> pa.Table:
+    """doc_id, lang_pred: stopword-profile language ID.  The language
+    with the most profile-word hits wins, ties going to the first in
+    alphabetical order (frozen); any CJK character → ``zh``; no hit →
+    ``und``."""
+    text = t["text"].combine_chunks() if isinstance(t["text"], pa.ChunkedArray) else t["text"]
+    words = pc.split_pattern_regex(pc.utf8_lower(text), pattern=WS_SPLIT)
+    flat = pc.list_flatten(words)
+    lens = pc.list_value_length(words).to_numpy(zero_copy_only=False).astype(np.int64)
+    parents = np.repeat(np.arange(len(words), dtype=np.int64), lens)
+    n_rows = t.num_rows
+    has_cjk = pc.match_substring_regex(text, CJK_PATTERN).to_numpy(zero_copy_only=False)
+    scores = np.zeros((len(_LANGS), n_rows), dtype=np.int64)
+    for li, words_of_lang in enumerate(_LANG_WORDS):
+        hit = pc.is_in(flat, value_set=words_of_lang).to_numpy(zero_copy_only=False)
+        scores[li] = np.bincount(parents[hit], minlength=n_rows)
+    best = np.argmax(scores, axis=0)  # ties → first (alphabetical) — frozen
+    best_score = scores[best, np.arange(n_rows)]
+    out = np.where(has_cjk, "zh", np.where(best_score > 0, _LANGS[best], "und"))
+    return pa.table(
+        {
+            "doc_id": pc.cast(t["doc_id"], pa.int64()),
+            "lang_pred": pa.array(out.tolist(), type=pa.string()),
+        }
+    )
 
 
 def fingerprint_batch(t: pa.Table) -> pa.Table:

@@ -565,7 +565,7 @@ class BatchScorer:
     """Actor-pool stage for batch query evaluation (M3 in SURVEY.md §7.2).
 
     ``queries_ds.map_batches(BatchScorer, fn_constructor_args=(index_dir,),
-    concurrency=N, batch_size=B)`` — the reader (idf cache + partition
+    batch_size=B)`` on a pool of N actors — the reader (idf cache + partition
     doc arrays) is loaded once per actor in ``__init__``, batches of
     queries are scored per ``__call__``.  At multi-node scale each actor
     would hold a partition shard and a driver-side merge combines

@@ -14,9 +14,10 @@ lists but remain rows — they count toward N and avgdl
 
 The reference's StarCoder2 tokenizer is a per-worker singleton
 (``code-tokenizer.ts:37-153``); our deterministic lexer is regex-only, so
-a stateless task suffices (an actor pool drops in here unchanged if a
-model-backed tokenizer is configured — the stage factory returns a
-callable class in that case).
+:func:`make_tokenizer_stage` returns a stateless task function.  The
+model tokenizer (``tokenizer="bpe"``) is :class:`BpeTokenizeStage`, an
+actor stage that loads its merge table once per actor; the index build
+picks it itself.
 """
 
 from __future__ import annotations
@@ -41,18 +42,6 @@ def append_term_lists(t: pa.Table, tokenizer: str) -> pa.Table:
     t = t.append_column("terms", terms_list)
     t = t.append_column("freqs", freqs_list)
     return t.append_column("token_count", pa.array(token_count, type=pa.int64()))
-
-
-class TokenizeStage:
-    """Callable-class form for ``map_batches`` (actor pool when the
-    tokenizer needs loaded state; the regex lexer compiles once per
-    process either way)."""
-
-    def __init__(self, config: IndexConfig):
-        self.tokenizer = config.tokenizer
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return append_term_lists(t, self.tokenizer)
 
 
 class BpeTokenizeStage:

@@ -262,12 +262,12 @@ def test_temporal_join_equals_asof_plus_range(ray_session):
 
 
 def test_media_features_deterministic_fake(ray_session):
-    from coderag_ray.pipelines.multimodal import MediaFeatureStage, decode_image
+    from coderag_ray.pipelines.multimodal import decode_image, media_feature_batch
 
     t = pa.table(
         {"doc_id": pa.array([1], type=pa.int64()), "payload": pa.array([b"hello world"])}
     )
-    out = MediaFeatureStage()(t)
+    out = media_feature_batch(t)
     assert out["n_bytes"][0].as_py() == 11
     assert out["fake_width"][0].as_py() == 12
     import hashlib
@@ -278,7 +278,7 @@ def test_media_features_deterministic_fake(ray_session):
 
 
 def test_langid_cjk_and_profiles(ray_session):
-    from coderag_ray.pipelines.text_analysis import LangIdStage
+    from coderag_ray.pipelines.text_analysis import lang_id_batch
 
     t = pa.table(
         {
@@ -287,7 +287,7 @@ def test_langid_cjk_and_profiles(ray_session):
                      "你好世界", "qwerty zxcvb"],
         }
     )
-    out = LangIdStage()(t)
+    out = lang_id_batch(t)
     assert out["lang_pred"].to_pylist() == ["en", "de", "zh", "und"]
 
 

@@ -134,7 +134,7 @@ def test_hf_tokenizer_real_path(tmp_path):
 # -- PIL decode -------------------------------------------------------------
 
 def test_pil_fallback_raises_not_implemented():
-    from coderag_ray.pipelines.multimodal import MediaFeatureStage, decode_image
+    from coderag_ray.pipelines.multimodal import decode_image, media_feature_batch
 
     if _has("PIL"):
         pytest.skip("PIL present — fallback not reachable")
@@ -143,7 +143,7 @@ def test_pil_fallback_raises_not_implemented():
     t = pa.table({"doc_id": pa.array([1], type=pa.int64()),
                   "payload": pa.array([b"hello"])})
     with pytest.raises(NotImplementedError):
-        MediaFeatureStage(use_real_decoder=True)(t)
+        media_feature_batch(t, use_real_decoder=True)
 
 
 def test_pil_real_path():
@@ -152,14 +152,14 @@ def test_pil_real_path():
 
     from PIL import Image
 
-    from coderag_ray.pipelines.multimodal import MediaFeatureStage
+    from coderag_ray.pipelines.multimodal import media_feature_batch
 
     buf = io.BytesIO()
     Image.new("RGB", (7, 5)).save(buf, format="PNG")
     payload = buf.getvalue()
     t = pa.table({"doc_id": pa.array([1], type=pa.int64()),
                   "payload": pa.array([payload])})
-    out = MediaFeatureStage(use_real_decoder=True)(t)
+    out = media_feature_batch(t, use_real_decoder=True)
     assert out["fake_width"][0].as_py() == 7
     assert out["fake_height"][0].as_py() == 5
     assert out["n_bytes"][0].as_py() == len(payload)
@@ -169,7 +169,7 @@ def test_pil_real_path():
 
 def test_video_fallback_raises_not_implemented():
     from coderag_ray.pipelines.multimodal import (
-        FrameSampleStage, decode_video_frames, real_video_decoder_available)
+        decode_video_frames, frame_sample_batch, real_video_decoder_available)
 
     if _has("av"):
         pytest.skip("PyAV present — fallback not reachable")
@@ -179,14 +179,14 @@ def test_video_fallback_raises_not_implemented():
     t = pa.table({"doc_id": pa.array([1], type=pa.int64()),
                   "payload": pa.array([b"fake-video-bytes"])})
     with pytest.raises(NotImplementedError):
-        FrameSampleStage(use_real_decoder=True)(t)
+        frame_sample_batch(t, use_real_decoder=True)
 
 
 def test_video_real_path(tmp_path):
     av = pytest.importorskip("av")
     import io
 
-    from coderag_ray.pipelines.multimodal import FrameSampleStage
+    from coderag_ray.pipelines.multimodal import frame_sample_batch
 
     # synthesize a tiny 4-frame video in memory
     buf = io.BytesIO()
@@ -202,7 +202,7 @@ def test_video_real_path(tmp_path):
     payload = buf.getvalue()
     t = pa.table({"doc_id": pa.array([9], type=pa.int64()),
                   "payload": pa.array([payload])})
-    out = FrameSampleStage(use_real_decoder=True)(t)
+    out = frame_sample_batch(t, use_real_decoder=True)
     # 1 payload -> N frame rows, sequential frame_idx, real pixel shas
     assert out.num_rows >= 1
     assert out["frame_idx"].to_pylist() == list(range(out.num_rows))

@@ -396,8 +396,8 @@ def test_frame_sample_expansion_and_stub(ray_session):
     import ray.data
 
     from coderag_ray.pipelines.multimodal import (
-        FrameSampleStage,
         decode_video_frames,
+        frame_sample_batch,
         frame_samples,
     )
 
@@ -413,9 +413,10 @@ def test_frame_sample_expansion_and_stub(ray_session):
     with pytest.raises(NotImplementedError):
         decode_video_frames(b"")
     with pytest.raises(NotImplementedError):
-        FrameSampleStage(use_real_decoder=True)(
+        frame_sample_batch(
             pa.table({"doc_id": pa.array([1], type=pa.int64()),
-                      "payload": pa.array([b"x"], type=pa.binary())}))
+                      "payload": pa.array([b"x"], type=pa.binary())}),
+            use_real_decoder=True)
 
 
 def test_resize_plan_aspect_ratio(ray_session):

@@ -165,7 +165,7 @@ def test_lang_quota_sample_skewed_multibatch(ray_session):
     import ray.data
 
     from coderag_ray.pipelines.sampling import lang_quota_sample
-    from coderag_ray.pipelines.text_analysis import LangIdStage
+    from coderag_ray.pipelines.text_analysis import lang_id_batch
 
     # 99% one language, spread over many blocks
     en = "the quick brown fox jumps over the lazy dog and runs away today"
@@ -178,7 +178,7 @@ def test_lang_quota_sample_skewed_multibatch(ray_session):
     quota = 7
     out = lang_quota_sample(ds, quota=quota).to_pandas()
     # ≤ quota per language, and exactly the smallest doc_ids of each
-    truth = LangIdStage()(tbl).to_pandas()
+    truth = lang_id_batch(tbl).to_pandas()
     expect = (truth.sort_values("doc_id").groupby("lang_pred").head(quota))
     got = set(map(tuple, out[["doc_id", "lang_pred"]].itertuples(index=False)))
     want = set(map(tuple, expect[["doc_id", "lang_pred"]].itertuples(index=False)))
