@@ -25,7 +25,9 @@ Scale notes (the parts that must survive 100 TB / 256 nodes):
 - The fingerprint pass re-reads the input (IO only, no tokenize) to
   decide which partitions are dirty; the expensive chunk/tokenize/
   encode work then runs *only* over dirty partitions — checkpointed
-  resume at partition granularity.
+  resume at partition granularity.  A caller that already knows the
+  dirty partitions (the directory watcher) hands them in with only
+  their docs and skips that pass.
 - ``content`` is dropped from the doc stream after chunking (chunks
   carry their own text into ``chunks.parquet`` but the full-file string
   never crosses the shuffle twice).
@@ -38,6 +40,7 @@ from __future__ import annotations
 import os
 import shutil
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +74,8 @@ class BuildReport:
     docs_per_sec: float
     phases: dict | None = None  # phase → seconds
     # how the dirty set was decided: "fresh" (no manifest), "file"
-    # (tier-1 stat sweep, no corpus read) or "content" (tier-2 sha scan)
+    # (tier-1 stat sweep, no corpus read), "content" (tier-2 sha scan) or
+    # "paths" (handed in by the caller, no scan)
     fingerprint_mode: str = "fresh"
 
 
@@ -211,17 +215,63 @@ def _build_idf(index_dir: str, part_rows: dict[int, dict], n_chunks_total: int) 
     os.replace(tmp_dir, idf_dir)
 
 
+def _usable_manifest(index_dir: str, config: IndexConfig) -> dict | None:
+    """The manifest at ``index_dir``, or None when there is none or a
+    config or index-format change invalidates everything it records."""
+    m = mf.load_manifest(index_dir)
+    if m is None or m.get("config") != config.to_dict() \
+            or m.get("schema_version") != SCHEMA_VERSION:
+        return None
+    return m
+
+
+def _on_disk(parts_root: str, old: dict[int, dict], p: int) -> bool:
+    """Partition ``p`` is recorded, and on disk unless it is empty."""
+    row = old.get(p)
+    return row is not None and (
+        row.get("n_chunks", 0) == 0
+        or os.path.isdir(os.path.join(parts_root, f"part={p:05d}"))
+    )
+
+
+def _only_dirty_stale(old: dict[int, dict], parts_root: str,
+                      dirty: Collection[int], num_partitions: int) -> bool:
+    """Every partition outside ``dirty`` is recorded and on disk."""
+    return bool(old) and all(p in dirty or _on_disk(parts_root, old, p)
+                             for p in range(num_partitions))
+
+
+def can_rebuild_only(index_dir: str, config: IndexConfig,
+                     dirty: Collection[int]) -> bool:
+    """True when rebuilding just the ``dirty`` partitions brings the index
+    at ``index_dir`` up to date, given that no other partition's input
+    changed since its last build: the index has a manifest written with
+    ``config`` and this ``SCHEMA_VERSION``, and every other partition is
+    recorded and on disk.  Otherwise only a full scan can."""
+    return _only_dirty_stale(mf.manifest_partitions(_usable_manifest(index_dir, config)),
+                             os.path.join(index_dir, "parts"), dirty,
+                             config.num_partitions)
+
+
 def build_index(
     docs,
     index_dir: str,
     config: IndexConfig | None = None,
     *,
     resume: bool = True,
+    dirty: Collection[int] | None = None,
 ) -> BuildReport:
     """Build (or incrementally refresh) the inverted index at ``index_dir``.
 
     ``docs``: a ray Dataset with columns (repo, path, commit, lang,
     content[, doc_id]) or a parquet path/list of paths.
+
+    ``dirty``: set by a caller that knows which partitions' inputs
+    changed since the last build (a watcher that saw the edited paths).
+    ``docs`` then needs only those partitions' docs; the build skips the
+    fingerprint pass and rebuilds just them (``fingerprint_mode`` is
+    ``"paths"``).  Raises ``ValueError`` unless
+    :func:`can_rebuild_only` holds.
     """
     t0 = time.perf_counter()
     config = config or IndexConfig()
@@ -250,24 +300,22 @@ def build_index(
         phases[name] = round(now - t_ph, 3)
         t_ph = now
 
-    manifest_obj = mf.load_manifest(index_dir) if resume else None
-    if manifest_obj is not None and (
-        manifest_obj.get("config") != config.to_dict()
-        or manifest_obj.get("schema_version") != SCHEMA_VERSION
-    ):
-        manifest_obj = None  # config or index-format change invalidates everything
-    input_meta = _input_file_meta(docs)
+    manifest_obj = _usable_manifest(index_dir, config) if resume else None
     old = mf.manifest_partitions(manifest_obj)
-    if old:
-
-        def _on_disk(p: int) -> bool:
-            # a clean non-empty partition must still exist on disk
-            row = old.get(p)
-            return row is not None and (
-                row.get("n_chunks", 0) == 0
-                or os.path.isdir(os.path.join(parts_root, f"part={p:05d}"))
-            )
-
+    # tier-1 fingerprint of the input files; none when ``docs`` holds only
+    # the dirty partitions, so a pending edit in a clean partition still
+    # shows at the next resume
+    input_meta = None if dirty is not None else _input_file_meta(docs)
+    if dirty is not None:
+        # the caller knows which partitions' inputs changed and hands in
+        # only their docs; the others stay as the manifest records them
+        if not _only_dirty_stale(old, parts_root, dirty, config.num_partitions):
+            raise ValueError(f"{index_dir}: a rebuild of partitions {sorted(dirty)} "
+                             "alone cannot bring this index up to date")
+        fp_mode = "paths"
+        fps = None
+        dirty = sorted(dirty)
+    elif old:
         fp_mode = "content"
         if input_meta is not None and manifest_obj.get("input_files") == input_meta:
             fp_mode = "file"
@@ -279,7 +327,7 @@ def build_index(
             fps = None
             dirty = [
                 p for p in range(config.num_partitions)
-                if p not in old or not _on_disk(p)
+                if not _on_disk(parts_root, old, p)
             ]
         else:
             # tier 2: input changed (or isn't file-backed) → per-partition
@@ -287,9 +335,8 @@ def build_index(
             fps = _fingerprints(ingest_ds, config.num_partitions)
             dirty = [
                 p for p in range(config.num_partitions)
-                if old.get(p) is None
+                if not _on_disk(parts_root, old, p)
                 or old[p].get("fingerprint") != fps[p]
-                or not _on_disk(p)
             ]
     else:
         fp_mode = "fresh"

@@ -10,23 +10,27 @@ Two phases, like the reference's memory-optimized indexer
    max-file-size stat guard — paths and sizes only, no content.  The
    listing is driver-side metadata (what ``read_binary_files`` does
    internally too); content never touches the driver.
-2. **distributed read**: ``ray.data.read_binary_files`` over the kept
-   paths → ``map_batches`` decode (UTF-8; undecodable files are dropped
-   like the reference's text-file guard) → the engine's input-hint
-   schema ``(repo, path, commit, lang, content)``.
+2. **distributed read** (:func:`read_files`, also callable on its own
+   with an already-known path list): ``ray.data.read_binary_files``
+   over the kept paths → ``map_batches`` decode (UTF-8; undecodable
+   files are dropped like the reference's text-file guard) → the
+   engine's input-hint schema ``(repo, path, commit, lang, content)``.
 
 The gitignore matcher implements the subset the reference's default
 patterns and ordinary ``.gitignore`` files use: comments/blanks,
 ``!``-negation (last match wins), leading-``/`` anchoring,
 trailing-``/`` directory patterns, and ``*``/``?`` globs, matched
 against every path suffix segment-prefix like the ``ignore`` npm
-package does for unanchored patterns.
+package does for unanchored patterns.  Each pattern compiles once to
+one regular expression that covers the path and all its parent
+directories, so a listing costs one match per pattern per path.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import os
+import re
 
 import pyarrow as pa
 
@@ -39,14 +43,14 @@ DEFAULT_IGNORES = [
     "build", "coverage", ".nyc_output", "*.log", "tmp", "temp", ".coderag",
 ]
 DEFAULT_MAX_FILE_SIZE = 1024 * 1024  # 1 MiB, utils.ts:179
+WORKDIR_COMMIT = "workdir"  # the commit label of a working-tree scan
 
 
 class GitignoreFilter:
     """Ordered gitignore-style matcher (last matching pattern wins)."""
 
     def __init__(self, patterns: list[str] | None = None):
-        self._rules: list[tuple[bool, bool, bool, str]] = []
-        # (negated, anchored, dir_only, pattern)
+        rules = []
         for raw in patterns or []:
             p = raw.rstrip()
             if not p or p.startswith("#"):
@@ -59,7 +63,8 @@ class GitignoreFilter:
             anchored = p.startswith("/") or "/" in p
             p = p.lstrip("/")
             if p:
-                self._rules.append((neg, anchored, dir_only, p))
+                rules.append(_compile_rule(neg, anchored, dir_only, p))
+        self._rules = rules[::-1]  # newest first: the first hit decides
 
     @classmethod
     def load(cls, root: str, extra_defaults: bool = True) -> "GitignoreFilter":
@@ -70,38 +75,42 @@ class GitignoreFilter:
                 pats.extend(f.read().splitlines())
         return cls(pats)
 
-    def _match_one(self, rel: str, is_dir: bool, rule) -> bool:
-        _, anchored, dir_only, pat = rule
-        if dir_only and not is_dir:
-            # a dir-only pattern still ignores files UNDER a matching dir —
-            # handled by the caller testing each parent directory
-            return False
-        if anchored:
-            return fnmatch.fnmatch(rel, pat) or rel.startswith(pat + "/")
-        # unanchored: match any path segment suffix (like `ignore` npm pkg)
-        parts = rel.split("/")
-        return any(
-            fnmatch.fnmatch("/".join(parts[i:]), pat) or fnmatch.fnmatch(parts[i], pat)
-            for i in range(len(parts))
-        )
-
     def ignores(self, rel: str, is_dir: bool = False) -> bool:
         """True if ``rel`` (posix relative path) is ignored; checks the
-        path itself and every parent directory."""
+        path itself and every parent directory.  A dir-only pattern
+        (``build/``) never matches a plain file named ``build``; files
+        underneath are covered through their parent directories."""
         rel = rel.replace(os.sep, "/")
-        candidates = [(rel, is_dir)]
-        parts = rel.split("/")
-        for i in range(1, len(parts)):
-            candidates.append(("/".join(parts[:i]), True))
-        verdict = False
-        for rule in self._rules:
-            neg = rule[0]
-            # each candidate keeps its REAL is_dir: a dir-only pattern
-            # (`build/`) must not match a plain file named `build` —
-            # files underneath are covered by the parent-dir candidates
-            if any(self._match_one(c, d, rule) for c, d in candidates):
-                verdict = not neg
-        return verdict
+        parent = rel.rpartition("/")[0]
+        for neg, dir_only, match, prefix in self._rules:
+            # a dir-only rule sees only directories: the parents, and
+            # ``rel`` itself when it is one
+            if is_dir or not dir_only:
+                hit = match(rel) or (prefix is not None and rel.startswith(prefix))
+            else:
+                hit = parent != "" and (match(rel, 0, len(parent)) or (
+                    prefix is not None and parent.startswith(prefix)))
+            if hit:
+                return not neg
+        return False
+
+
+def _compile_rule(neg: bool, anchored: bool, dir_only: bool, pat: str):
+    """One rule as ``(negated, dir_only, match, prefix)``.
+
+    ``match(rel)`` is true iff the glob fully matches ``rel[i:j]`` for a
+    segment start ``i`` (only ``0`` when anchored) and a segment end
+    ``j``: a segment suffix of ``rel`` or of one of its parent
+    directories, the candidates a rule tests.  With ``endpos=len(parent)``
+    only the parents count.  An anchored rule also matches a candidate
+    that starts with the literal ``pattern/`` (``prefix``).
+    """
+    glob = fnmatch.translate(pat)  # "(?s:...)" + an end-of-string anchor
+    if glob[-2:] not in ("\\Z", "\\z"):
+        raise ValueError(f"unexpected fnmatch.translate({pat!r}) = {glob!r}")
+    head = "" if anchored else "(?s:.*/)?"
+    match = re.compile(f"{head}{glob[:-2]}(?:/|\\Z)").match
+    return neg, dir_only, match, pat + "/" if anchored else None
 
 
 def list_files(root: str, *, max_file_size: int = DEFAULT_MAX_FILE_SIZE,
@@ -132,17 +141,24 @@ def list_files(root: str, *, max_file_size: int = DEFAULT_MAX_FILE_SIZE,
     return out
 
 
-def scan_directory(root: str, *, repo: str | None = None, commit: str = "workdir",
+def scan_directory(root: str, *, repo: str | None = None, commit: str = WORKDIR_COMMIT,
                    max_file_size: int = DEFAULT_MAX_FILE_SIZE,
                    use_gitignore: bool = True):
     """→ Ray Dataset with the engine's input-hint schema
     ``(repo, path, commit, lang, content)`` for a real directory tree.
     Feed straight into :func:`coderag_ray.index.build.build_index`."""
+    rels = list_files(root, max_file_size=max_file_size, use_gitignore=use_gitignore)
+    return read_files(root, rels, repo=repo, commit=commit)
+
+
+def read_files(root: str, rels: list[str], *, repo: str | None = None,
+               commit: str = WORKDIR_COMMIT):
+    """Phase 2 alone: the :func:`scan_directory` Dataset over the given
+    relative paths (already listed, e.g. by a watcher's snapshot)."""
     import ray.data
 
     root = os.path.abspath(root)
     repo = repo or os.path.basename(root)
-    rels = list_files(root, max_file_size=max_file_size, use_gitignore=use_gitignore)
     if not rels:
         return ray.data.from_arrow(pa.table({
             "repo": pa.array([], type=pa.string()),

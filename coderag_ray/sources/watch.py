@@ -11,11 +11,20 @@ everything downstream reproduces the reference's semantics:
 - per-path debounce (default 500 ms, ``indexer.ts:855``): a path's
   timer resets on every further change, so a burst of writes triggers
   one refresh after the burst settles;
-- adds / changes / deletes all funnel into ONE incremental
-  ``build_index`` over the directory scan — the engine's manifest diff
-  rebuilds only the partitions whose docs changed and drops deleted
-  docs (J5–J7), which is the reference's per-file add/update/remove
-  collapsed into the partition-checkpoint model;
+- adds / changes / deletes settled in one poll funnel into ONE
+  incremental ``build_index`` — the reference's per-file
+  add/update/remove collapsed into the partition-checkpoint model.  A
+  doc's partition follows from its path alone
+  (``part_id = splitmix64(stable_doc_id(repo, path, "workdir")) % P``),
+  so the settled paths name the dirty partitions without a byte read:
+  the refresh reads only the snapshot's files in those partitions
+  (deleted paths dirty their partition and are not read) and rebuilds
+  just them, with no fingerprint pass over the tree;
+- the watcher's first refresh (the index may predate its snapshot), an
+  index without a usable manifest (none, or another config or
+  ``SCHEMA_VERSION``) and a clean partition missing on disk fall back
+  to a full directory scan, where the manifest's content fingerprints
+  find the dirty partitions (J5–J7);
 - the ignore filter is the same gitignore loader the scan uses, so an
   ignored file's churn never schedules work.
 
@@ -31,7 +40,8 @@ import threading
 import time
 
 from coderag_ray.config import IndexConfig
-from coderag_ray.sources.files import DEFAULT_MAX_FILE_SIZE, list_files
+from coderag_ray.sources.files import DEFAULT_MAX_FILE_SIZE, WORKDIR_COMMIT, list_files
+from coderag_ray.stages.ingest import doc_ids, part_ids
 
 
 class DirectoryWatcher:
@@ -44,6 +54,7 @@ class DirectoryWatcher:
                  use_gitignore: bool = True,
                  clock=time.monotonic):
         self.root = os.path.abspath(root)
+        self.repo = os.path.basename(self.root)  # scan_directory's default
         self.index_dir = index_dir
         self.config = config or IndexConfig()
         self.debounce_s = debounce_s
@@ -53,6 +64,7 @@ class DirectoryWatcher:
         self._clock = clock
         self._snapshot = self._take_snapshot()
         self._pending: dict[str, float] = {}  # rel path → last-change time
+        self._settled: list[str] = []  # paths the running refresh picks up
         self.refreshes = 0  # incremental builds triggered (observable)
         self._consecutive_failures = 0  # failed refreshes since last success
         self._thread: threading.Thread | None = None
@@ -92,6 +104,7 @@ class DirectoryWatcher:
                          if now - t >= self.debounce_s)
         if not settled:
             return []
+        self._settled = settled
         try:
             self._refresh()
         except Exception:
@@ -109,6 +122,8 @@ class DirectoryWatcher:
             for p in settled:
                 self._pending[p] = now + backoff - self.debounce_s
             return []
+        finally:
+            self._settled = []
         self._consecutive_failures = 0
         for p in settled:
             self._pending.pop(p, None)
@@ -116,12 +131,39 @@ class DirectoryWatcher:
 
     def _refresh(self) -> None:
         from coderag_ray.index.build import build_index
-        from coderag_ray.sources.files import scan_directory
+        from coderag_ray.sources.files import read_files, scan_directory
 
-        ds = scan_directory(self.root, max_file_size=self.max_file_size,
-                            use_gitignore=self.use_gitignore)
-        build_index(ds, self.index_dir, self.config, resume=True)
+        dirty = self._dirty_partitions()
+        if dirty is None:
+            ds = scan_directory(self.root, repo=self.repo, commit=WORKDIR_COMMIT,
+                                max_file_size=self.max_file_size,
+                                use_gitignore=self.use_gitignore)
+        else:
+            # a partition is rebuilt whole: read every snapshot file in it
+            paths = sorted(self._snapshot)
+            ds = read_files(self.root, [p for p, part in zip(paths, self._partitions(paths))
+                                        if part in dirty],
+                            repo=self.repo, commit=WORKDIR_COMMIT)
+        build_index(ds, self.index_dir, self.config, resume=True, dirty=dirty)
         self.refreshes += 1
+
+    def _dirty_partitions(self) -> frozenset[int] | None:
+        """The partitions of the settled paths, or None when only a full
+        scan brings the index up to date: no settled paths (a direct
+        call), this watcher's first refresh (the index may predate its
+        snapshot), or an index that :func:`can_rebuild_only` rejects."""
+        from coderag_ray.index.build import can_rebuild_only
+
+        if self.refreshes == 0 or not self._settled:
+            return None
+        dirty = frozenset(self._partitions(self._settled))
+        return dirty if can_rebuild_only(self.index_dir, self.config, dirty) else None
+
+    def _partitions(self, paths: list[str]) -> list[int]:
+        """Index partition of each path, routed as ingest routes its doc."""
+        n = len(paths)
+        return part_ids(doc_ids([self.repo] * n, paths, [WORKDIR_COMMIT] * n),
+                        self.config.num_partitions).to_pylist()
 
     # -- background loop --------------------------------------------------
 

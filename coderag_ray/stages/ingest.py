@@ -31,6 +31,19 @@ INGEST_COLUMNS = ["doc_id", "part_id", "repo", "path", "commit", "lang",
                   "content", "n_chars", "n_bytes", "content_sha256"]
 
 
+def doc_ids(repos, paths, commits) -> pa.Array:
+    """int64 ``doc_id`` of each ``(repo, path, commit)`` identity triple."""
+    return pa.array([stable_doc_id(r, p, c) for r, p, c in zip(repos, paths, commits)],
+                    type=pa.int64())
+
+
+def part_ids(doc_id: pa.Array, num_parts: int) -> pa.Array:
+    """int32 ``part_id = splitmix64(doc_id) % num_parts`` of each doc."""
+    return pa.array(
+        part_for_doc(doc_id.to_numpy(zero_copy_only=False).astype(np.uint64), num_parts).astype(np.int32)
+    )
+
+
 def make_ingest(config: IndexConfig):
     """Build the ingest map_batches UDF (stateless task)."""
 
@@ -53,14 +66,9 @@ def make_ingest(config: IndexConfig):
         if "doc_id" in t.column_names:
             doc_id = pc.cast(t["doc_id"], pa.int64())
         else:
-            doc_id = pa.array(
-                [stable_doc_id(r, p, c) for r, p, c in zip(
-                    t["repo"].to_pylist(), t["path"].to_pylist(), t["commit"].to_pylist())],
-                type=pa.int64(),
-            )
-        part_id = pa.array(
-            part_for_doc(doc_id.to_numpy(zero_copy_only=False).astype(np.uint64), num_parts).astype(np.int32)
-        )
+            doc_id = doc_ids(t["repo"].to_pylist(), t["path"].to_pylist(),
+                             t["commit"].to_pylist())
+        part_id = part_ids(doc_id, num_parts)
         return pa.table(
             {
                 "doc_id": doc_id,

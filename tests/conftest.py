@@ -17,6 +17,11 @@ settings.register_profile("explore", derandomize=False)
 settings.load_profile("ci")
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test that starts subprocesses or Ray jobs and takes tens of seconds")
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

@@ -34,6 +34,89 @@ def test_gitignore_negation_anchor_dironly(tmp_path):
     assert not ig.ignores("src/docs.md")
 
 
+def test_gitignore_negation_and_dir_only_edges():
+    ig = GitignoreFilter(["*.gen.ts", "!keep.gen.ts", "keep.gen.ts", "out/",
+                          "!out/", "/cache/", "logs/*.txt", "!logs/important.txt"])
+    assert ig.ignores("a/b.gen.ts")
+    assert ig.ignores("keep.gen.ts")  # re-ignored by a later rule
+    assert not ig.ignores("out/x.py")  # a later negation un-ignores the dir
+    assert ig.ignores("cache/x.py") and ig.ignores("cache", is_dir=True)
+    assert not ig.ignores("cache")  # dir-only: a plain file named cache
+    assert not ig.ignores("src/cache/x.py")  # anchored to the root
+    assert ig.ignores("logs/a.txt") and not ig.ignores("logs/important.txt")
+    assert not ig.ignores("sub/logs/a.txt")  # a pattern with a slash is anchored
+
+    ig = GitignoreFilter(["build/", "tmp*/", "!*.keep"])
+    assert not ig.ignores("build")  # file named like a dir-only pattern
+    assert ig.ignores("build", is_dir=True)
+    assert ig.ignores("src/build/out.js")  # unanchored dir-only at any depth
+    assert ig.ignores("tmp1/x.py") and not ig.ignores("tmp1")
+    assert not ig.ignores("a/x.keep")
+    assert not ig.ignores("x.py") and not ig.ignores("a/b", is_dir=True)
+
+    # an anchored pattern also ignores what sits under its literal text
+    ig = GitignoreFilter(["/[ab]"])
+    assert ig.ignores("[ab]/x.py") and ig.ignores("a/x.py")
+    assert not ig.ignores("[ab].py")
+
+
+def _reference_ignores(patterns, rel, is_dir):
+    """The matcher's semantics spelled out with ``fnmatch`` over every
+    candidate (``rel`` and each parent directory) and every segment
+    suffix: slow, but each rule reads as its definition."""
+    import fnmatch
+
+    parts = rel.split("/")
+    candidates = [(rel, is_dir)] + [("/".join(parts[:i]), True) for i in range(1, len(parts))]
+    verdict = False
+    for raw in patterns:
+        p = raw.rstrip()
+        if not p or p.startswith("#"):
+            continue
+        neg = p.startswith("!")
+        p = p[1:] if neg else p
+        dir_only = p.endswith("/")
+        p = p.rstrip("/")
+        anchored = p.startswith("/") or "/" in p
+        p = p.lstrip("/")
+        if not p:
+            continue
+        for c, d in candidates:
+            if dir_only and not d:
+                continue
+            if anchored:
+                hit = fnmatch.fnmatch(c, p) or c.startswith(p + "/")
+            else:
+                segs = c.split("/")
+                hit = any(fnmatch.fnmatch("/".join(segs[i:]), p) or fnmatch.fnmatch(segs[i], p)
+                          for i in range(len(segs)))
+            if hit:
+                verdict = not neg
+                break
+    return verdict
+
+
+def test_gitignore_matches_reference_semantics():
+    import random
+
+    rng = random.Random(7)
+    atoms = ["a", "b", "ab", "x.py", "*", "?", "[ab]", "*.py", "a*", "*b",
+             "dist", ".git", "a?", "[!a]*"]
+    segs = ["a", "b", "ab", "x.py", "y.log", "dist", ".git", "a.b", "ba", "aa", "[ab]", "*"]
+    for _ in range(400):
+        pats = []
+        for _ in range(rng.choice([1, 2, 3, 5])):
+            p = "/".join(rng.choice(atoms) for _ in range(rng.choice([1, 1, 2, 3])))
+            p = ("/" if rng.random() < 0.3 else "") + p + ("/" if rng.random() < 0.3 else "")
+            pats.append(("!" if rng.random() < 0.2 else "") + p)
+        ig = GitignoreFilter(pats)
+        for _ in range(20):
+            rel = "/".join(rng.choice(segs) for _ in range(rng.choice([1, 2, 3, 4])))
+            is_dir = rng.random() < 0.5
+            assert ig.ignores(rel, is_dir) == _reference_ignores(pats, rel, is_dir), \
+                (pats, rel, is_dir)
+
+
 def _make_tree(root):
     os.makedirs(root / "src", exist_ok=True)
     os.makedirs(root / "node_modules" / "dep", exist_ok=True)
