@@ -196,52 +196,51 @@ def q_postings(sf_dir: str):
 
 
 def q_blockmax(sf_dir: str):
-    """Block-max skip metadata read back from the BUILT index layout —
-    one row per (part_id, term, posting block): the stored skip entry's
-    last posting identity (its (doc_id, chunk_id), resolved from the
+    """Block-max statistics derived from the BUILT index's postings —
+    one row per (part_id, term, 128-posting block): the block's last
+    posting identity (its (doc_id, chunk_id), resolved from the
     partition's ordinal-aligned docs.parquet), block max term frequency
-    and block min doc length.  These are exactly the per-block facts
-    :func:`coderag_ray.functions.bm25.block_max_bound` turns into a BM25
-    upper bound for skip-based pruning — the north rule's "block-max skip
-    metadata", oracle-checked: the SQL side re-derives every block from
+    and block min doc length.  The blocks are cut from the stored
+    ``doc_buf``/``freq_buf`` posting order, so the row checks that order
+    and the ordinal mapping: the SQL side re-derives every block from
     the raw text (chunker + tokenizer + splitmix64 routing + 128-posting
-    blocking in pure SQL).  A wrong block boundary, max, or ordinal
-    mapping hash-mismatches."""
+    blocking in pure SQL).  A wrong posting order, block boundary, max,
+    or ordinal mapping hash-mismatches."""
     import pyarrow.parquet as pq
 
+    from coderag_ray.functions import varint
     from coderag_ray.index.reader import IndexReader
 
+    block = 128  # postings per block — the oracle's ``pos // 128``
     idx = _index_for(sf_dir, CFG_SIMPLE)
     reader = IndexReader(idx)
     parts = []
     for pid in reader.partitions:
-        post = pq.read_table(
-            os.path.join(reader.part_dir(pid), "postings.parquet"),
-            columns=["term", "block_last_ord", "block_max_freq", "block_min_dl"])
+        post = pq.read_table(os.path.join(reader.part_dir(pid), "postings.parquet"),
+                             columns=["term", "df_local", "doc_buf", "freq_buf"])
         if post.num_rows == 0:
             continue
         docs = pq.read_table(os.path.join(reader.part_dir(pid), "docs.parquet"),
-                             columns=["doc_id", "chunk_id"])
-        did = docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cid = docs["chunk_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        blo = post["block_last_ord"].combine_chunks()
-        nblk = pc.list_value_length(blo).to_numpy(zero_copy_only=False).astype(np.int64)
-        parents = np.repeat(np.arange(post.num_rows, dtype=np.int64), nblk)
-        starts = np.concatenate([[0], np.cumsum(nblk)[:-1]])
-        block_id = np.arange(int(nblk.sum()), dtype=np.int64) - np.repeat(starts, nblk)
-        last_ord = blo.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        maxf = post["block_max_freq"].combine_chunks().flatten().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        mindl = post["block_min_dl"].combine_chunks().flatten().to_numpy(
-            zero_copy_only=False).astype(np.int64)
+                             columns=["doc_id", "chunk_id", "dl"])
+        did, cid, dl = (docs[c].to_numpy(zero_copy_only=False).astype(np.int64)
+                        for c in ("doc_id", "chunk_id", "dl"))
+        df = post["df_local"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ords = varint.decode_delta_runs(b"".join(post["doc_buf"].to_pylist()),
+                                        df).astype(np.int64)
+        freqs = varint.decode(b"".join(post["freq_buf"].to_pylist())).astype(np.int64)
+        term_start = np.cumsum(df) - df
+        pos = np.arange(len(ords), dtype=np.int64) - np.repeat(term_start, df)
+        starts = np.flatnonzero(pos % block == 0)
+        last_ord = ords[np.append(starts[1:], len(ords)) - 1]
+        parents = np.repeat(np.arange(post.num_rows, dtype=np.int64), df)[starts]
         parts.append(pa.table({
-            "part_id": pa.array(np.full(len(parents), pid, dtype=np.int64), type=pa.int64()),
+            "part_id": pa.array(np.full(len(starts), pid, dtype=np.int64), type=pa.int64()),
             "term": post["term"].take(pa.array(parents)),
-            "block_id": pa.array(block_id, type=pa.int64()),
+            "block_id": pa.array(pos[starts] // block, type=pa.int64()),
             "last_doc_id": pa.array(did[last_ord], type=pa.int64()),
             "last_chunk_id": pa.array(cid[last_ord], type=pa.int64()),
-            "max_freq": pa.array(maxf, type=pa.int64()),
-            "min_dl": pa.array(mindl, type=pa.int64()),
+            "max_freq": pa.array(np.maximum.reduceat(freqs, starts), type=pa.int64()),
+            "min_dl": pa.array(np.minimum.reduceat(dl[ords], starts), type=pa.int64()),
         }))
     if not parts:
         return pa.table({"part_id": pa.array([], type=pa.int64()),
@@ -414,8 +413,9 @@ def q_bm25_topk_code(sf_dir: str):
 
 
 def q_bm25_topk_bpe(sf_dir: str):
-    """Model-tokenizer (mini-BPE) ranking over the ST1 actor-pool build
-    path — BPE merges aren't ANSI-SQL-expressible, so rows-only here;
+    """Model-tokenizer (mini-BPE) ranking over the ST1 build path, whose
+    tokenize stage runs in the same fused task chain as every other
+    tokenizer — BPE merges aren't ANSI-SQL-expressible, so rows-only here;
     exact rank parity vs the Python oracle is pytest-verified
     (tests/test_bpe.py)."""
     return _bm25_topk(sf_dir, CFG_BPE)
@@ -1200,9 +1200,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     IVF-PQ — each a hash-checked recall-floor/ordering verdict vs the
     exact scan), and the rows-only ``q_lsh_knn``/``q_ivf_knn``/
     ``q_ivfpq_knn``/``q_simhash`` are covered by those invariants plus
-    ``q_simhash_dup``.  ``q_blockmax`` SQL-verifies the index's
-    block-max skip metadata (the WAND pruning structure) from first
-    principles.  Every standalone callable (q_asof, q_range_join,
+    ``q_simhash_dup``.  ``q_blockmax`` SQL-verifies 128-posting
+    block statistics cut from the index's stored posting order from
+    first principles.  Every standalone callable (q_asof, q_range_join,
     q_media_features, q_frame_sample, q_media_resize, q_lsh_knn,
     q_ivf_knn, q_simhash, q_lsh_recall, q_ivf_recall, q_ivfpq_recall,
     q_substring_dup) still exists with its own oracle in

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Any
 
 # BM25 parameters — packages/core/src/tfidf.ts:16-17
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-# Posting-list physical layout
-POSTING_BLOCK = 128  # docs per skip block (block-max metadata granularity)
-
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _SchemaHashWarningFilter(logging.Filter):
@@ -52,32 +49,21 @@ def dataset_rows_estimate(ds, allow_execute: bool = True) -> int:
     entire upstream pipeline once just to pick a bucket count, then the
     pipeline ran again for real).  Resolution order:
 
-    1. a caller-provided hint (``ds._coderag_rows_hint``) — the escape
-       hatch for derived datasets whose producer knows the size;
-    2. the plan's snapshot metadata (``from_arrow``/``from_pandas``/
+    1. the plan's snapshot metadata (``from_arrow``/``from_pandas``/
        materialized datasets and bare reads — free);
-    3. the source ``Read`` op's lazy file metadata (works for DERIVED
+    2. the source ``Read`` op's lazy file metadata (works for DERIVED
        datasets too; returns the PRE-transform size, conservative for
        bucket sizing where overcounting is safe);
-    4. parquet footers via ``input_files()``;
-    5. ``count()`` — executes the plan once.  Expensive for a derived
+    3. parquet footers via ``input_files()``;
+    4. ``count()`` — executes the plan once.  Expensive for a derived
        dataset, but UNDER-sizing a bucketed group-by is the one failure
        mode that OOMs workers at scale (a JSONL/CSV-sourced corpus that
        silently fell back to ``lo`` buckets would put rows/lo rows in
        ONE pandas group) — correctness of the size beats the extra
-       pass, and hot callers avoid it by passing a precomputed count or
-       setting the hint.  ``allow_execute=False`` skips this step and
-       returns 0 instead — for callers that only want a cheap bound and
-       have a safe fallback for "unknown".
-
-    The ``_coderag_rows_hint`` attribute lives on the specific Dataset
-    OBJECT: every transformation returns a new Dataset, so the hint does
-    not survive ``.map_batches(...)`` chains — set it on the dataset you
-    actually pass in (or pass a plain row count to
-    :func:`auto_buckets`)."""
-    hint = getattr(ds, "_coderag_rows_hint", 0)
-    if hint:
-        return int(hint)
+       pass, and hot callers avoid it by passing a precomputed row
+       count to :func:`auto_buckets`.  ``allow_execute=False`` skips
+       this step and returns 0 instead — for callers that only want a
+       cheap bound and have a safe fallback for "unknown"."""
     with _schema_hash_warning_silenced():
         try:
             mc = ds._meta_count()
@@ -122,10 +108,12 @@ def auto_buckets(rows_or_ds, target_rows: int = 2_000_000,
     it bounds the rows a single group may hold (narrow numeric rows
     tolerate millions; text-carrying rows want 10⁵).
 
-    Accepts a row count or a Dataset.  ``Dataset.count()`` is
-    metadata-cheap for freshly-read parquet; for DERIVED datasets it
-    executes the upstream, so callers holding a transformed dataset
-    should pass the pre-transform row count instead.  Unknown size →
+    Accepts a row count or a Dataset, sized by
+    :func:`dataset_rows_estimate`: metadata-cheap for in-memory and
+    parquet-sourced datasets, but a DERIVED dataset whose source has no
+    row metadata (JSONL, CSV) falls through to ``count()``, which
+    executes the upstream, so callers holding such a dataset should
+    pass the pre-transform row count instead.  Unknown size →
     ``lo`` (the historical constant at test scale).
     """
     if hasattr(rows_or_ds, "count"):
@@ -154,7 +142,7 @@ class IndexConfig:
     num_partitions ~ 10^5; tests use small values).
     """
 
-    tokenizer: str = "code"  # "code" (camelCase/snake split) | "simple" (tfidf fallback regex) | "bpe" (model-tokenizer actor path, deterministic mini-BPE)
+    tokenizer: str = "code"  # "code" (camelCase/snake split) | "simple" (tfidf fallback regex) | "bpe" (deterministic mini-BPE model tokenizer)
     chunker: str = "chars"  # "chars" (reference fallback windows) | "lines" (AST stand-in) | "ast" (stdlib-ast semantic chunks for python, char fallback otherwise)
     max_chunk_size: int = 1000  # chars — embeddings.ts:266
     chunk_overlap: int = 100  # chars — embeddings.ts:267
@@ -162,7 +150,6 @@ class IndexConfig:
     num_partitions: int = 16
     k1: float = BM25_K1
     b: float = BM25_B
-    posting_block: int = POSTING_BLOCK
     store_magnitudes: bool = True  # per-chunk TF-IDF magnitudes (cosine mode, A3)
     # External BPE merge table (JSON {"merges": [[a, b], ...]}) for the
     # "bpe" tokenizer — the offline stand-in for the reference's 4.7 MB
@@ -170,9 +157,9 @@ class IndexConfig:
     # deterministic built-in seed vocabulary.  Participates in to_dict(),
     # so changing the vocab invalidates the manifest and forces a rebuild.
     bpe_vocab_path: str | None = None
-    # Ray execution knobs
-    batch_size: int = 1024  # rows per map_batches batch in the build stages
-    extra: dict[str, Any] = field(default_factory=dict)
+    # rows per batch when the stage functions are driven batch by batch
+    # outside Ray; the build maps whole blocks (batch_size=None)
+    batch_size: int = 1024
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

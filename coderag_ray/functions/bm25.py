@@ -55,13 +55,3 @@ def effective_dl(token_count):
     arr = np.maximum(np.asarray(token_count, dtype=np.float64), 1.0)
     return arr if arr.ndim else float(arr)
 
-
-def block_max_bound(max_tf: float, min_dl: float, idf: float, avgdl: float,
-                    k1: float = BM25_K1, b: float = BM25_B) -> float:
-    """Upper bound of any posting's score inside a skip block.
-
-    ``bm25_term_score`` is monotonically increasing in tf and decreasing
-    in dl, so scoring the block's max tf with its min dl bounds every
-    member — the block-max metadata stored per 128-posting block.
-    """
-    return bm25_term_score(max_tf, idf, max(min_dl, 1.0), avgdl, k1, b)

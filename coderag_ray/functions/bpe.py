@@ -1,5 +1,5 @@
-"""Deterministic mini-BPE tokenizer — the model-tokenizer actor path
-(ST1) made real offline.
+"""Deterministic mini-BPE tokenizer — the model-tokenizer path (ST1)
+made real offline.
 
 The reference tokenizes with StarCoder2 BPE loaded once per worker
 (``/root/reference/packages/core/src/code-tokenizer.ts:37-118``):
@@ -8,8 +8,9 @@ falling back to ``simpleWordTokenize`` when the model yields nothing.
 No model download is possible offline, so this module implements
 classic byte-pair encoding with a DETERMINISTIC, self-contained
 training corpus: same interface, same post-processing, same
-load-state-once-per-actor deployment shape
-(:class:`coderag_ray.stages.tokenize.BpeTokenizeStage`).
+load-state-once-per-worker deployment shape (the per-process
+:func:`default_tokenizer` / :func:`loaded_tokenizer` singletons that
+:func:`coderag_ray.stages.tokenize.bpe_term_counts` encodes with).
 
 Determinism: merges are learned with most-frequent-pair selection and
 lexicographic tie-breaks from a fixed seed text, so every process (and
@@ -79,7 +80,7 @@ class BPETokenizer:
         self.ranks = {tuple(m): i for i, m in enumerate(merges)}
         self._cache: dict[str, list[str]] = {}
 
-    # -- persistence (the actor-load path) --------------------------------
+    # -- persistence (the vocab-load path) --------------------------------
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
             json.dump({"merges": [list(m) for m in self.merges]}, f)
@@ -183,10 +184,10 @@ def _is_hf_tokenizer_json(path: str) -> bool:
 
 @lru_cache(maxsize=8)
 def loaded_tokenizer(vocab_path: str):
-    """External vocabulary loaded once per process per path — the
-    query-side counterpart of ``BpeTokenizeStage``'s per-actor load, so
-    searches against an index built with ``bpe_vocab_path`` tokenize the
-    query with the SAME vocabulary.
+    """External vocabulary loaded once per process per path — the build
+    stage and the query tokenizer both load through here, so searches
+    against an index built with ``bpe_vocab_path`` tokenize the query
+    with the SAME vocabulary.
 
     Detect-and-use: a real HF ``tokenizer.json`` (sniffed by format)
     loads through the ``tokenizers`` runtime when importable and falls

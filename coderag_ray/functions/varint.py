@@ -39,25 +39,12 @@ def encode(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def decode(buf: bytes | memoryview | np.ndarray, offset: int = 0, count: int | None = None) -> np.ndarray:
-    """v-byte stream → uint64 array.
-
-    ``offset`` skips to a byte position (block-aligned skip pointers);
-    ``count`` stops after that many decoded values (None = whole buffer).
-    """
+def decode(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
+    """v-byte stream → uint64 array."""
     b = np.frombuffer(buf, dtype=np.uint8)
-    if offset:
-        b = b[offset:]
-    if b.size == 0 or (count is not None and count <= 0):
+    if b.size == 0:
         return np.empty(0, dtype=np.uint64)
     terminal = (b & 0x80) == 0
-    if count is not None:
-        n_avail = int(terminal.sum())
-        if count < n_avail:
-            # cut the buffer after the count-th terminal byte
-            last = np.flatnonzero(terminal)[count - 1] if count > 0 else -1
-            b = b[: last + 1]
-            terminal = terminal[: last + 1]
     ends = np.flatnonzero(terminal)
     starts = np.empty_like(ends)
     starts[0] = 0
@@ -78,16 +65,12 @@ def encode_deltas(sorted_ids: np.ndarray) -> bytes:
     return encode(d)
 
 
-def decode_deltas(buf: bytes, offset: int = 0, count: int | None = None, base: int = 0) -> np.ndarray:
-    """Inverse of :func:`encode_deltas`; ``base`` re-anchors a block-skip
-    decode (pass the previous block's last doc ordinal)."""
-    d = decode(buf, offset, count)
+def decode_deltas(buf: bytes) -> np.ndarray:
+    """Inverse of :func:`encode_deltas`."""
+    d = decode(buf)
     if d.size == 0:
         return d
-    out = np.cumsum(d)
-    if base:
-        out = out + np.uint64(base)
-    return out
+    return np.cumsum(d)
 
 
 def decode_delta_runs(buf: bytes | memoryview, run_lengths: np.ndarray) -> np.ndarray:
@@ -113,8 +96,8 @@ def decode_delta_runs(buf: bytes | memoryview, run_lengths: np.ndarray) -> np.nd
 
 
 def value_byte_lengths(values: np.ndarray) -> np.ndarray:
-    """Encoded byte length per value — used to compute per-term / per-block
-    byte offsets without re-encoding."""
+    """Encoded byte length per value — used to compute per-term byte
+    offsets without re-encoding."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
     nb = np.ones(v.size, dtype=np.int64)
     for k in range(1, 10):

@@ -353,17 +353,7 @@ def build_index(
         if len(dirty) < config.num_partitions:
             pipeline = pipeline.map_batches(make_part_filter(dirty_set), batch_format="pyarrow", batch_size=None)
         chunked = pipeline.map_batches(make_chunker(config), batch_format="pyarrow", batch_size=None)
-        if config.tokenizer == "bpe":
-            # stateful model tokenizer → actor pool (ST1): vocab loads
-            # once per actor; costs fusion, only on this tokenizer
-            from coderag_ray.stages.tokenize import BpeTokenizeStage
-
-            tokenized = chunked.map_batches(
-                BpeTokenizeStage, fn_constructor_args=(config,),
-                batch_format="pyarrow", batch_size=1024, concurrency=(2, 8),
-            )
-        else:
-            tokenized = chunked.map_batches(make_tokenizer_stage(config), batch_format="pyarrow", batch_size=None)
+        tokenized = chunked.map_batches(make_tokenizer_stage(config), batch_format="pyarrow", batch_size=None)
 
         try:
             # metadata-based estimate (cheap for a parquet read);
@@ -371,8 +361,7 @@ def build_index(
             est_bytes = docs.size_bytes()
         except Exception:
             est_bytes = None
-        results = run_shuffle_build(tokenized, index_dir, config,
-                                    estimated_bytes=est_bytes)
+        results = run_shuffle_build(tokenized, index_dir, estimated_bytes=est_bytes)
         _phase("tokenize_shuffle_write")
         for row in results:
             part_rows[int(row["part_id"])] = {k: v for k, v in row.items() if k != "part_id"}

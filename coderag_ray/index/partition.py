@@ -11,11 +11,9 @@ re-expressed as a fully vectorized local inverted-index build:
   deterministic docID order the north rule requires; the reference's
   autoincrement insertion order is nondeterministic across rebuilds,
   ``db/schema.ts:38``),
-- postings sorted by ``(term, ordinal)``, delta + v-byte compressed,
-  with block-max skip metadata every ``posting_block`` (=128) postings:
-  ``(last_ordinal, max_freq, min_dl, byte offsets)`` — enough to compute
-  a valid per-block BM25 upper bound at query time for any avgdl/idf
-  (see :func:`coderag_ray.functions.bm25.block_max_bound`),
+- postings sorted by ``(term, ordinal)``, delta + v-byte compressed:
+  one row per term holding its local df and the encoded ordinal and
+  frequency buffers, which is all the scorers read,
 - a tiny ``termdf.parquet`` of ``(term, df_local)`` partials that the
   global IDF aggregation merges — the "salted" partial df: a hot term's
   count arrives pre-aggregated per partition, so no reducer ever sees a
@@ -40,7 +38,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from coderag_ray.config import IndexConfig
 from coderag_ray.functions import varint
 
 DOCS_COLUMNS = ["doc_id", "chunk_id", "dl", "chunk_sha256", "content_sha256",
@@ -58,14 +55,11 @@ def encode_partition_postings(
     terms_flat: pa.Array,
     ordinals: np.ndarray,
     freqs: np.ndarray,
-    dls: np.ndarray,
-    block: int = 128,
 ) -> pa.Table:
     """Vectorized posting-list encoding for one partition.
 
-    Inputs are the exploded ``(term, ordinal, freq)`` rows (any order)
-    plus ``dls[ordinal]`` = token count per local chunk.  Returns the
-    postings table sorted by term.
+    Inputs are the exploded ``(term, ordinal, freq)`` rows (any order).
+    Returns the postings table sorted by term.
     """
     if len(ordinals) == 0:
         return pa.table(
@@ -74,11 +68,6 @@ def encode_partition_postings(
                 "df_local": pa.array([], type=pa.int64()),
                 "doc_buf": pa.array([], type=pa.large_binary()),
                 "freq_buf": pa.array([], type=pa.large_binary()),
-                "block_last_ord": pa.array([], type=pa.list_(pa.int32())),
-                "block_max_freq": pa.array([], type=pa.list_(pa.int32())),
-                "block_min_dl": pa.array([], type=pa.list_(pa.int32())),
-                "block_doc_off": pa.array([], type=pa.list_(pa.int64())),
-                "block_freq_off": pa.array([], type=pa.list_(pa.int64())),
             }
         )
 
@@ -133,27 +122,6 @@ def encode_partition_postings(
         [None, pa.py_buffer(term_freq_offsets.tobytes()), pa.py_buffer(freq_big)],
     )
 
-    # block layout: block boundary every `block` postings within a term
-    pos_in_term = np.arange(n, dtype=np.int64) - np.repeat(term_starts, df_local)
-    is_block_start = (pos_in_term % block) == 0
-    block_starts = np.flatnonzero(is_block_start)
-    blocks_per_term = ((df_local + block - 1) // block).astype(np.int64)
-    block_sizes = np.diff(np.append(block_starts, n))
-    block_ends = block_starts + block_sizes - 1
-
-    block_last_ord = s_ord[block_ends].astype(np.int32)
-    block_max_freq = np.maximum.reduceat(s_freq, block_starts).astype(np.int32)
-    s_dl = dls[s_ord]
-    block_min_dl = np.minimum.reduceat(s_dl, block_starts).astype(np.int32)
-    term_of_block = np.repeat(np.arange(n_terms), blocks_per_term)
-    block_doc_off = (doc_cum[block_starts] - doc_cum[term_starts][term_of_block]).astype(np.int64)
-    block_freq_off = (freq_cum[block_starts] - freq_cum[term_starts][term_of_block]).astype(np.int64)
-
-    blk_offsets = pa.array(np.concatenate([[0], np.cumsum(blocks_per_term)]).astype(np.int32))
-
-    def blist(values: np.ndarray, typ) -> pa.ListArray:
-        return pa.ListArray.from_arrays(blk_offsets, pa.array(values, type=typ))
-
     sorted_terms = vocab.take(pa.array(vocab_order))
     # keep only vocab entries that actually appear (all do, by construction
     # of dictionary_encode over the stream)
@@ -163,16 +131,11 @@ def encode_partition_postings(
             "df_local": pa.array(df_local, type=pa.int64()),
             "doc_buf": doc_buf_col,
             "freq_buf": freq_buf_col,
-            "block_last_ord": blist(block_last_ord, pa.int32()),
-            "block_max_freq": blist(block_max_freq, pa.int32()),
-            "block_min_dl": blist(block_min_dl, pa.int32()),
-            "block_doc_off": blist(block_doc_off, pa.int64()),
-            "block_freq_off": blist(block_freq_off, pa.int64()),
         }
     )
 
 
-def write_partition(group: pa.Table, index_dir: str, config: IndexConfig) -> dict:
+def write_partition(group: pa.Table, index_dir: str) -> dict:
     """Build + atomically write one partition; return its manifest row.
 
     The partition input fingerprint is recomputed here from the group's
@@ -211,8 +174,7 @@ def write_partition(group: pa.Table, index_dir: str, config: IndexConfig) -> dic
     terms_flat = pc.list_flatten(terms_list)
     freqs_flat = pc.list_flatten(freqs_list).to_numpy(zero_copy_only=False).astype(np.int64)
 
-    postings = encode_partition_postings(terms_flat, ordinals, freqs_flat, dls,
-                                         block=config.posting_block)
+    postings = encode_partition_postings(terms_flat, ordinals, freqs_flat)
 
     docs_tbl = pa.table(
         {

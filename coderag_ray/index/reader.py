@@ -30,9 +30,6 @@ from coderag_ray.config import IndexConfig
 from coderag_ray.index import manifest as mf
 from coderag_ray.index.partition import part_dirname
 
-# the postings.parquet columns the query path scores from
-POSTING_QUERY_COLUMNS = ["term", "df_local", "doc_buf", "freq_buf"]
-
 
 @dataclass
 class PartitionHandle:
@@ -312,10 +309,7 @@ class IndexReader:
         dl_norm = k1 * (1.0 - b + (b * dl_eff) / self.avgdl)
 
         def load_part(pid: int):
-            tbl = pq.read_table(
-                os.path.join(self.part_dir(pid), "postings.parquet"),
-                columns=POSTING_QUERY_COLUMNS,
-            )
+            tbl = pq.read_table(os.path.join(self.part_dir(pid), "postings.parquet"))
             terms = tbl["term"].to_pylist()
             df = tbl["df_local"].to_numpy(zero_copy_only=False).astype(np.int64)
             part_off = np.uint64(offsets[pid])
@@ -456,9 +450,8 @@ class IndexReader:
         return h.magnitudes
 
     def postings_for_terms(self, part_id: int, terms: list[str]) -> dict[str, dict]:
-        """term → posting-list record (``POSTING_QUERY_COLUMNS``: df and
-        the encoded doc/freq buffers; the block-max skip columns stay on
-        disk).
+        """term → posting-list record (``term``, ``df_local`` and the
+        encoded ``doc_buf``/``freq_buf``).
 
         Term-sorted parquet + row-group statistics make this an
         O(#query-terms) selective read, the analog of the reference's
@@ -493,7 +486,7 @@ class IndexReader:
             )
             found = set()
             if rgs:
-                tbl = pf.read_row_groups(rgs, columns=POSTING_QUERY_COLUMNS)
+                tbl = pf.read_row_groups(rgs)
                 for rec in tbl.filter(pc.field("term").isin(missing)).to_pylist():
                     out[rec["term"]] = rec
                     found.add(rec["term"])

@@ -147,7 +147,7 @@ def make_run_writer(run_dir: str):
     return run_writer
 
 
-def run_shuffle_build(tokenized, index_dir: str, config,
+def run_shuffle_build(tokenized, index_dir: str,
                       estimated_bytes: int | None = None) -> list[dict]:
     """Spill tokenized rows into per-partition runs, then merge each
     partition with one Ray task.  Returns the manifest rows.
@@ -167,7 +167,7 @@ def run_shuffle_build(tokenized, index_dir: str, config,
     os.makedirs(run_dir, exist_ok=True)
 
     @ray.remote
-    def merge(pid: int, rdir: str, idx_dir: str, cfg) -> dict:
+    def merge(pid: int, rdir: str, idx_dir: str) -> dict:
         part_dir = os.path.join(rdir, f"part={pid:05d}")
         files = sorted(
             os.path.join(part_dir, f) for f in os.listdir(part_dir)
@@ -178,7 +178,7 @@ def run_shuffle_build(tokenized, index_dir: str, config,
             with pa.memory_map(f, "r") as src:
                 tables.append(_decode_terms_dict(pa.ipc.open_file(src).read_all()))
         group = pa.concat_tables(tables).combine_chunks()
-        return write_partition(group, idx_dir, cfg)
+        return write_partition(group, idx_dir)
 
     # the spill directory goes whether the build succeeds or fails: a
     # failed build must not leave its runs in RAM-backed /dev/shm
@@ -199,7 +199,7 @@ def run_shuffle_build(tokenized, index_dir: str, config,
             int(name.split("=", 1)[1]) for name in os.listdir(run_dir)
             if name.startswith("part=")
         )
-        rows = ray.get([merge.remote(pid, run_dir, index_dir, config) for pid in part_ids])
+        rows = ray.get([merge.remote(pid, run_dir, index_dir) for pid in part_ids])
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     return rows

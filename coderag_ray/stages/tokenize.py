@@ -13,27 +13,58 @@ lists but remain rows — they count toward N and avgdl
 (``storage-persistent.ts:973``, ``indexer.ts:604-605``).
 
 The reference's StarCoder2 tokenizer is a per-worker singleton
-(``code-tokenizer.ts:37-153``); our deterministic lexer is regex-only, so
-:func:`make_tokenizer_stage` returns a stateless task function.  The
-model tokenizer (``tokenizer="bpe"``) is :class:`BpeTokenizeStage`, an
-actor stage that loads its merge table once per actor; the index build
-picks it itself.
+(``code-tokenizer.ts:37-153``).  :func:`make_tokenizer_stage` returns a
+plain task function for every tokenizer, so the stage fuses with ingest
+and chunking: the regex lexers are stateless, and the model tokenizer
+(``tokenizer="bpe"``) is a per-process singleton
+(:func:`coderag_ray.functions.bpe.default_tokenizer` /
+:func:`~coderag_ray.functions.bpe.loaded_tokenizer`), loaded once per
+worker process.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 
 from coderag_ray.config import IndexConfig
-from coderag_ray.functions.tokenizer import batch_term_counts
+from coderag_ray.functions.tokenizer import batch_term_counts, tokenize as tokenize_text
 
 
-def append_term_lists(t: pa.Table, tokenizer: str) -> pa.Table:
+def bpe_term_counts(texts: pa.Array | pa.ChunkedArray, vocab_path: str | None
+                    ) -> tuple[np.ndarray, pa.Array, np.ndarray, np.ndarray]:
+    """:func:`~coderag_ray.functions.tokenizer.batch_term_counts` for the
+    model tokenizer (ST1, ``code-tokenizer.ts:37-153``).  BPE merges have
+    no Arrow kernel, so rows are encoded one at a time through the query
+    side's :func:`coderag_ray.functions.tokenizer.tokenize`: the build
+    and the query load a vocabulary through the same per-process
+    ``lru_cache``d chokepoint, and its word→pieces cache lives as long
+    as the worker."""
+    rows: list[int] = []
+    terms: list[str] = []
+    freqs: list[int] = []
+    token_count = np.zeros(len(texts), dtype=np.int64)
+    for i, text in enumerate(texts.to_pylist()):
+        tf = Counter(tokenize_text(text or "", "bpe", vocab_path))
+        token_count[i] = sum(tf.values())
+        for term, freq in sorted(tf.items()):  # deterministic term order per chunk
+            rows.append(i)
+            terms.append(term)
+            freqs.append(freq)
+    return (np.array(rows, dtype=np.int64), pa.array(terms, type=pa.string()),
+            np.array(freqs, dtype=np.int64), token_count)
+
+
+def append_term_lists(t: pa.Table, tokenizer: str, bpe_vocab_path: str | None = None) -> pa.Table:
     """Add terms/freqs/token_count columns to a table with ``content``."""
-    rows, terms, freqs, token_count = batch_term_counts(t["content"], tokenizer)
+    if tokenizer == "bpe":
+        rows, terms, freqs, token_count = bpe_term_counts(t["content"], bpe_vocab_path)
+    else:
+        rows, terms, freqs, token_count = batch_term_counts(t["content"], tokenizer)
     n = t.num_rows
-    # rows is sorted ascending (np.unique) → offsets by bincount cumsum
+    # rows is sorted ascending → offsets by bincount cumsum
     counts = np.bincount(rows, minlength=n).astype(np.int32) if len(rows) else np.zeros(n, dtype=np.int32)
     offsets = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(counts, out=offsets[1:])
@@ -44,57 +75,10 @@ def append_term_lists(t: pa.Table, tokenizer: str) -> pa.Table:
     return t.append_column("token_count", pa.array(token_count, type=pa.int64()))
 
 
-class BpeTokenizeStage:
-    """Model-tokenizer actor stage (ST1, ``code-tokenizer.ts:37-153``):
-    the BPE merge table is built/loaded ONCE per actor in ``__init__``
-    (the singleton-per-worker pattern — a real model load drops in
-    here), then ``__call__`` encodes batches row-wise with a per-actor
-    word→pieces cache.  Used via
-    ``map_batches(BpeTokenizeStage, fn_constructor_args=(config,),
-    concurrency=N)`` — an actor pool, deliberately NOT fused with the
-    task chain (stateful stages can't fuse; the build pays one extra
-    object-store hop only on this tokenizer)."""
-
-    def __init__(self, config: IndexConfig, vocab_path: str | None = None):
-        # loaded_tokenizer is the SHARED build/query chokepoint: it
-        # sniffs HF tokenizer.json vs the offline merge-table format, so
-        # an index built from a real HF vocab tokenizes queries with the
-        # same vocabulary (ADVICE r4: loading BPETokenizer.load here
-        # while the query side sniffed formats split the two paths)
-        from coderag_ray.functions.bpe import default_tokenizer, loaded_tokenizer
-
-        vocab_path = vocab_path or config.bpe_vocab_path
-        self.tok = (loaded_tokenizer(vocab_path) if vocab_path
-                    else default_tokenizer())
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        n = t.num_rows
-        offsets = np.zeros(n + 1, dtype=np.int32)
-        all_terms: list[str] = []
-        all_freqs: list[int] = []
-        token_count = np.zeros(n, dtype=np.int64)
-        for i, text in enumerate(t["content"].to_pylist()):
-            tf = Counter(self.tok.tokenize(text or ""))
-            token_count[i] = sum(tf.values())
-            items = sorted(tf.items())  # deterministic term order per chunk
-            offsets[i + 1] = offsets[i] + len(items)
-            all_terms.extend(k for k, _ in items)
-            all_freqs.extend(v for _, v in items)
-        terms_list = pa.ListArray.from_arrays(pa.array(offsets),
-                                              pa.array(all_terms, type=pa.string()))
-        freqs_list = pa.ListArray.from_arrays(pa.array(offsets),
-                                              pa.array(np.array(all_freqs, dtype=np.int32)))
-        t = t.append_column("terms", terms_list)
-        t = t.append_column("freqs", freqs_list)
-        return t.append_column("token_count", pa.array(token_count))
-
-
 def make_tokenizer_stage(config: IndexConfig):
-    tok = config.tokenizer
+    tok, vocab_path = config.tokenizer, config.bpe_vocab_path
 
     def tokenize(t: pa.Table) -> pa.Table:
-        return append_term_lists(t, tok)
+        return append_term_lists(t, tok, vocab_path)
 
     return tokenize

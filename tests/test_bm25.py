@@ -7,7 +7,6 @@ import numpy as np
 
 from coderag_ray.functions.bm25 import (
     avg_doc_length,
-    block_max_bound,
     bm25_term_score,
     effective_dl,
     idf_smoothed,
@@ -53,12 +52,3 @@ def test_effective_dl_and_avgdl():
     assert avg_doc_length(0, 0) == 1.0  # tfidf.ts:378
     assert avg_doc_length(10, 4) == 2.5  # zero-token chunks included in n
 
-
-def test_block_max_is_upper_bound():
-    rng = np.random.default_rng(3)
-    tfs = rng.integers(1, 50, 256)
-    dls = rng.integers(1, 500, 256)
-    idf, avgdl = 1.7, 80.0
-    bound = block_max_bound(int(tfs.max()), float(dls.min()), idf, avgdl)
-    scores = bm25_term_score(tfs, idf, dls, avgdl)
-    assert (scores <= bound + 1e-12).all()

@@ -81,28 +81,32 @@ def test_hf_sniff_refuses_loudly_without_runtime(tmp_path):
         bpe.loaded_tokenizer(str(p))
 
 
-def test_bpe_stage_shares_loaded_tokenizer_chokepoint(tmp_path):
-    """Build (BpeTokenizeStage) and query (tokenize_query) load the same
-    vocab path through loaded_tokenizer — an HF-format file behaves the
-    same on both sides instead of KeyError'ing on build only."""
+def test_bpe_stage_shares_loaded_tokenizer_chokepoint(tmp_path, monkeypatch):
+    """Build (the bpe tokenize stage) and query (tokenize_query) load the
+    same vocab path through loaded_tokenizer — an HF-format file behaves
+    the same on both sides instead of KeyError'ing on build only."""
     import pyarrow as pa
 
     from coderag_ray.config import IndexConfig
     from coderag_ray.functions import bpe
-    from coderag_ray.stages.tokenize import BpeTokenizeStage
+    from coderag_ray.stages.tokenize import make_tokenizer_stage
 
     t = bpe.default_tokenizer()
     p = tmp_path / "merges.json"
     t.save(str(p))
-    stage = BpeTokenizeStage(IndexConfig(tokenizer="bpe"), vocab_path=str(p))
-    assert stage.tok is bpe.loaded_tokenizer(str(p))  # same lru-cached object
+    real, used = bpe.loaded_tokenizer, []
+    monkeypatch.setattr(bpe, "loaded_tokenizer",
+                        lambda path: used.append(real(path)) or used[-1])
+    stage = make_tokenizer_stage(IndexConfig(tokenizer="bpe", bpe_vocab_path=str(p)))
     out = stage(pa.table({"content": pa.array(["getUserById query"])}))
+    assert used and all(tok is real(str(p)) for tok in used)  # same lru-cached object
     assert out["token_count"][0].as_py() > 0
     if not _has("tokenizers"):
         hf = tmp_path / "tokenizer.json"
         hf.write_text(json.dumps({"model": {"type": "BPE", "vocab": {}, "merges": []}}))
+        hf_stage = make_tokenizer_stage(IndexConfig(tokenizer="bpe", bpe_vocab_path=str(hf)))
         with pytest.raises(RuntimeError, match="tokenizers"):
-            BpeTokenizeStage(IndexConfig(tokenizer="bpe"), vocab_path=str(hf))
+            hf_stage(pa.table({"content": pa.array(["getUserById query"])}))
 
 
 def test_offline_merge_table_still_loads(tmp_path):

@@ -1,19 +1,9 @@
-"""Round-2 regression tests: ADVICE fixes (varint count=0, knn boundary
-ties, 63-bit doc-id pair keys) and the vectorized MinHash parity."""
+"""Round-2 regression tests: ADVICE fixes (knn boundary ties, 63-bit
+doc-id pair keys) and the vectorized MinHash parity."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
-
-
-def test_varint_decode_count_zero():
-    from coderag_ray.functions import varint
-
-    buf = varint.encode(np.array([1, 300, 7], dtype=np.uint64))
-    out = varint.decode(buf, count=0)
-    assert out.size == 0 and out.dtype == np.uint64
-    # negative counts behave like zero rather than crashing
-    assert varint.decode(buf, count=-1).size == 0
 
 
 def test_minhash_vectorized_matches_exact_bigint():

@@ -265,8 +265,7 @@ def test_rows_estimate_counts_derived_non_parquet(ray_session, tmp_path):
     """A JSONL-derived corpus (no parquet footers, no source metadata)
     must NOT silently estimate 0 → lo buckets: that under-sizes every
     bucketed groupby and puts rows/lo rows in one pandas group at scale.
-    The count() backstop executes the plan once; a caller-set
-    _coderag_rows_hint skips even that."""
+    The count() backstop executes the plan once."""
     import ray.data
 
     from coderag_ray.config import auto_buckets, dataset_rows_estimate
@@ -278,10 +277,6 @@ def test_rows_estimate_counts_derived_non_parquet(ray_session, tmp_path):
                                                 batch_format="pyarrow")
     assert dataset_rows_estimate(ds) == 1000
     assert auto_buckets(ds, target_rows=10, lo=4, hi=1 << 20) >= 100
-    ds2 = ray.data.read_json(str(p)).map_batches(lambda t: t,
-                                                 batch_format="pyarrow")
-    ds2._coderag_rows_hint = 5_000_000
-    assert dataset_rows_estimate(ds2) == 5_000_000  # hint wins, no execution
 
 
 def test_knn_bruteforce_salted_two_level_reduce_matches(ray_session, monkeypatch):
