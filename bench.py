@@ -129,10 +129,6 @@ def run_bench() -> dict:
         index_dir, cfg, resume=False,
     )
     build_s = time.perf_counter() - t0
-    if os.environ.get("CODERAG_BENCH_STATS"):
-        from coderag_ray.index import run_shuffle
-
-        print(run_shuffle.LAST_MAP_STATS or "(no map-wave stats)", file=sys.stderr)
     results["build_index_s"] = round(build_s, 3)
     results["build_docs_per_s"] = round(report.n_docs / build_s, 1)
     results["build_chunks_per_s"] = round(report.n_chunks / build_s, 1)
@@ -311,19 +307,6 @@ def run_bench() -> dict:
             if hasattr(out, "to_pandas"):
                 out.to_pandas() if not hasattr(out, "materialize") else out.materialize()
             results[f"{name}_s"] = round(time.perf_counter() - t0, 3)
-
-        if os.environ.get("CODERAG_BENCH_STATS"):
-            # operator-level evidence for the two historically worst
-            # pipelines (VERDICT r2 item 9) → /tmp/coderag_bench_stats.txt
-            from coderag_ray.pipelines import dedup as _dd
-            from coderag_ray.pipelines import similarity as _sim
-
-            with open("/tmp/coderag_bench_stats.txt", "w") as f:
-                f.write("=== minhash_lsh_pairs verify wave ===\n")
-                f.write((_dd.LAST_MINHASH_STATS or "(none)") + "\n")
-                f.write("=== ANN probe scan (last of lsh/ivf) ===\n")
-                f.write((_sim.LAST_PROBE_STATS or "(none)") + "\n")
-            print("pipeline stats -> /tmp/coderag_bench_stats.txt", file=sys.stderr)
 
     headline = results["build_index_s"] + sum(lat)
     out = {

@@ -33,11 +33,6 @@ from coderag_ray.functions.staging import sweep_stale_staging
 RUNS_DIRNAME = "_runs"
 _SHM = "/dev/shm"
 
-# ds.stats() of the last build's fused map wave (read→ingest→chunk→
-# tokenize→spill) — the per-operator wall/CPU audit the scale brief
-# asks for; printed by `CODERAG_BENCH_STATS=1 python bench.py`
-LAST_MAP_STATS: str | None = None
-
 
 def _rebuild_list(la: pa.Array | pa.ChunkedArray, values: pa.Array) -> pa.ListArray:
     """Fresh zero-based list array over ``values`` with ``la``'s lengths
@@ -193,8 +188,6 @@ def run_shuffle_build(tokenized, index_dir: str,
         # would grow with the job (VERDICT r1 caveat); each merge task
         # globs its own dir
         summary_ds.count()
-        global LAST_MAP_STATS
-        LAST_MAP_STATS = summary_ds.stats()  # post-execution per-operator stats (cheap string)
         part_ids = sorted(
             int(name.split("=", 1)[1]) for name in os.listdir(run_dir)
             if name.startswith("part=")

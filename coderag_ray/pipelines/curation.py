@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from coderag_ray.functions.rounding import round6
 from coderag_ray.stages.bucket_agg import exchange
@@ -39,22 +38,14 @@ def curate(docs_ds, *, min_words: int = 10, max_stopword_ratio: float = 0.7,
     import ray
 
     from coderag_ray.pipelines.dedup import _word_shingles
-    from coderag_ray.pipelines.text_analysis import quality_batch
+    from coderag_ray.pipelines.text_analysis import benchmark_shingles, quality_batch
     from coderag_ray.functions.hashing import batch_sha256
 
     from coderag_ray.config import auto_buckets
 
     nb = auto_buckets(docs_ds, target_rows=2_000_000)
 
-    bench = docs_ds.map_batches(
-        lambda t: t.filter(pc.less(pc.cast(t["doc_id"], pa.int64()), benchmark_max_id)),
-        batch_format="pyarrow",
-    ).to_pandas()  # benchmark docs only — small by definition
-    bench_set = set()
-    if "text" in bench.columns:  # empty corpus → column-less frame
-        for text in bench["text"]:
-            bench_set |= _word_shingles(text, ngram)
-    bench_ref = ray.put(bench_set)
+    bench_ref = ray.put(benchmark_shingles(docs_ds, benchmark_max_id, ngram))
 
     def signals(t: pa.Table) -> pa.Table:
         bs = ray.get(bench_ref)

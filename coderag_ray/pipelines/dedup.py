@@ -78,9 +78,6 @@ EMB_DUP_SCHEMA = pa.schema([
 ])
 CLUSTER_SCHEMA = pa.schema([("doc_id", pa.int64()), ("cluster_id", pa.int64())])
 
-# ds.stats() of the last minhash_lsh_pairs run's verify wave — the
-# per-operator wall/CPU audit; printed by CODERAG_BENCH_STATS=1 bench.py
-LAST_MINHASH_STATS: str | None = None
 MINHASH_BANDS = 16
 _MERS_P = (1 << 61) - 1
 
@@ -890,10 +887,8 @@ def minhash_lsh_pairs(docs_ds, n: int = 3, jaccard_threshold: float = 0.5,
 
     doc_rows = routed(docs_ds.map_batches(candidate_doc_rows, batch_format="pyarrow"),
                       "doc_id", nb_join)
-    verified_ds = _verify_pairs(cand, doc_rows, jaccard_threshold).materialize()
-    global LAST_MINHASH_STATS
-    LAST_MINHASH_STATS = verified_ds.stats()  # per-operator audit (bench)
-    verified = verified_ds.to_pandas()  # final verified pairs only — small
+    # final verified pairs only — small
+    verified = _verify_pairs(cand, doc_rows, jaccard_threshold).to_pandas()
     if len(verified) == 0:
         return PAIR_SCORE_SCHEMA.empty_table().select(["doc_a", "doc_b", "jaccard"])
     verified = verified.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)

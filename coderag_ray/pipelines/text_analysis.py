@@ -245,6 +245,23 @@ def pattern_stats_batch(t: pa.Table) -> pa.Table:
     )
 
 
+def benchmark_shingles(docs_ds, benchmark_max_id: int, n: int) -> set[str]:
+    """Word n-gram shingles of the benchmark set: here the docs with
+    ``doc_id < benchmark_max_id``, collected on the driver (an eval
+    suite is tiny next to the corpus)."""
+    from coderag_ray.pipelines.dedup import _word_shingles
+
+    bench = docs_ds.map_batches(
+        lambda t: t.filter(pc.less(pc.cast(t["doc_id"], pa.int64()), benchmark_max_id)),
+        batch_format="pyarrow",
+    ).to_pandas()
+    out: set[str] = set()
+    if "text" in bench.columns:  # empty corpus → column-less frame
+        for text in bench["text"]:
+            out |= _word_shingles(text, n)
+    return out
+
+
 def decontaminate(docs_ds, benchmark_max_id: int = 10, n: int = 8):
     """Benchmark decontamination: flag documents sharing word n-grams
     with a benchmark set (here: docs with ``doc_id < benchmark_max_id``
@@ -262,17 +279,7 @@ def decontaminate(docs_ds, benchmark_max_id: int = 10, n: int = 8):
 
     from coderag_ray.pipelines.dedup import _word_shingles
 
-    bench = (
-        docs_ds.map_batches(
-            lambda t: t.filter(pc.less(pc.cast(t["doc_id"], pa.int64()), benchmark_max_id)),
-            batch_format="pyarrow",
-        ).to_pandas()  # benchmark docs only — bounded by definition
-    )
-    bench_set = set()
-    if "text" in bench.columns:  # empty corpus → column-less frame
-        for text in bench["text"]:
-            bench_set |= _word_shingles(text, n)
-    bench_ref = ray.put(bench_set)
+    bench_ref = ray.put(benchmark_shingles(docs_ds, benchmark_max_id, n))
 
     def flag(t: pa.Table) -> pa.Table:
         bs = ray.get(bench_ref)

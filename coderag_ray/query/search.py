@@ -96,32 +96,39 @@ def _partition_scores(
     reader: IndexReader,
     part_id: int,
     tokens: list[str],
-    idf_map: dict[str, tuple[int, float]],
+    contribution: dict,
     filters: SearchFilters | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exhaustive scoring of one partition.
+    """Exhaustive scoring of one partition: each query term with a
+    ``contribution[tok](freqs, dls)`` adds it to the chunks of its
+    posting list (``dls`` = their lengths, floored at 1 — tfidf.ts:400),
+    in query order.
 
     Returns (candidate_ordinals, scores, matched_bitmask) for ordinals
     with ≥1 matched term (after filters).
     """
     h = reader.partition(part_id)
-    postings = reader.postings_for_terms(part_id, [t for t in tokens if t in idf_map])
+    postings = reader.postings_for_terms(part_id, [t for t in tokens if t in contribution])
     scores = np.zeros(h.n_chunks, dtype=np.float64)
     matched = np.zeros(h.n_chunks, dtype=np.int64)
-    dls_eff = np.maximum(h.dls, 1).astype(np.float64)  # tfidf.ts:400
+    dls = np.maximum(h.dls, 1).astype(np.float64)
     for qi, tok in enumerate(tokens):
         rec = postings.get(tok)
         if rec is None:
             continue
         ords, freqs = _decoded(rec)
-        idf = idf_map[tok][1]
-        scores[ords] += bm25_term_score(freqs, idf, dls_eff[ords], reader.avgdl)
+        scores[ords] += contribution[tok](freqs, dls[ords])
         matched[ords] |= 1 << qi
 
     cand = np.flatnonzero(matched)
     if len(cand) and filters is not None:
         cand = cand[_filter_keep(reader, part_id, cand, filters)]
     return cand, scores[cand], matched[cand]
+
+
+def _bm25_contribution(reader: IndexReader, idf_map: dict[str, tuple[int, float]]) -> dict:
+    return {tok: (lambda freqs, dls, idf=idf: bm25_term_score(freqs, idf, dls, reader.avgdl))
+            for tok, (_, idf) in idf_map.items()}
 
 
 def build_query_vector(
@@ -159,28 +166,15 @@ def _partition_scores_cosine(
     """Cosine-similarity scoring of one partition — tfidf.ts:191-212:
     cos = Σ_t q_tfidf[t] * doc_tfidf[t] / (|q| * |d|), 0 when either
     magnitude is 0; doc_tfidf = (rawFreq/dl) * idf."""
-    h = reader.partition(part_id)
     idf_map = reader.idf_for_terms(tokens)
-    postings = reader.postings_for_terms(part_id, [t for t in tokens if t in idf_map])
-    mags = reader.partition_magnitudes(part_id)
-    dot = np.zeros(h.n_chunks, dtype=np.float64)
-    matched = np.zeros(h.n_chunks, dtype=np.int64)
-    dls_safe = np.maximum(h.dls, 1).astype(np.float64)
-    for qi, tok in enumerate(tokens):
-        rec = postings.get(tok)
-        if rec is None or q_tfidf.get(tok, 0.0) == 0.0:
-            continue
-        ords, freqs = _decoded(rec)
-        doc_tfidf = (freqs / dls_safe[ords]) * idf_map[tok][1]
-        dot[ords] += q_tfidf[tok] * doc_tfidf
-        matched[ords] |= 1 << qi
-
-    cand = np.flatnonzero(matched)
-    if len(cand) and filters is not None:
-        cand = cand[_filter_keep(reader, part_id, cand, filters)]
-    denom = qmag * mags[cand]
-    scores = np.where(denom > 0, dot[cand] / np.where(denom > 0, denom, 1.0), 0.0)
-    return cand, scores, matched[cand]
+    contribution = {
+        tok: (lambda freqs, dls, w=q_tfidf[tok], idf=idf: w * ((freqs / dls) * idf))
+        for tok, (_, idf) in idf_map.items() if q_tfidf.get(tok, 0.0) != 0.0
+    }
+    cand, dot, matched = _partition_scores(reader, part_id, tokens, contribution, filters)
+    denom = qmag * reader.partition_magnitudes(part_id)[cand]
+    scores = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
+    return cand, scores, matched
 
 
 def _topk_merge(
@@ -339,8 +333,9 @@ def search(
         return _finish(parts, reader, uniq, k, min_score, with_doc_columns)
     if mode != "bm25":
         raise ValueError(f"unknown mode {mode!r}")
+    contribution = _bm25_contribution(reader, idf_map)
     parts = [
-        (pid, *_partition_scores(reader, pid, tokens, idf_map, filters))
+        (pid, *_partition_scores(reader, pid, tokens, contribution, filters))
         for pid in reader.partitions
     ]
     return _finish(parts, reader, tokens, k, min_score, with_doc_columns)

@@ -66,26 +66,23 @@ class ShardedSearcher:
         ray.get([a.ping.remote() for a in self.actors])  # constructors done
 
     def search(self, query: str, k: int = 10, mode: str = "bm25") -> pa.Table:
+        """The single-reader ``search(..., with_doc_columns=False)``
+        table: the shards' top-k merged, ``rank`` renumbered."""
         import ray
 
-        tables = ray.get([a.search.remote(query, k, mode) for a in self.actors])
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            import pyarrow as _pa
+        from coderag_ray.query.search import _empty_result
 
-            return _pa.table({"doc_id": _pa.array([], type=_pa.int64()),
-                              "chunk_id": _pa.array([], type=_pa.int64()),
-                              "score": _pa.array([], type=_pa.float64())})
-        merged = pa.concat_tables([t.select(["doc_id", "chunk_id", "score",
-                                             "part_id", "ordinal", "matched_terms"])
-                                   if "matched_terms" in t.column_names
-                                   else t for t in tables],
-                                  promote_options="default")
-        scores = merged["score"].to_numpy(zero_copy_only=False)
-        doc_ids = merged["doc_id"].to_numpy(zero_copy_only=False)
-        chunk_ids = merged["chunk_id"].to_numpy(zero_copy_only=False)
+        tables = [t for t in ray.get([a.search.remote(query, k, mode) for a in self.actors])
+                  if t.num_rows]
+        if not tables:
+            return _empty_result()
+        merged = pa.concat_tables(tables)
+        scores = merged["score"].to_numpy()
+        doc_ids = merged["doc_id"].to_numpy()
+        chunk_ids = merged["chunk_id"].to_numpy()
         order = np.lexsort((chunk_ids, doc_ids, -scores))[:k]
-        return merged.take(pa.array(order))
+        return merged.take(pa.array(order)).set_column(
+            0, "rank", pa.array(np.arange(1, len(order) + 1, dtype=np.int32)))
 
     def shutdown(self) -> None:
         import ray

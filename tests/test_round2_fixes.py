@@ -300,6 +300,12 @@ def test_ivf_knn_probes_centroids_and_exact_sims(ray_session, tmp_path):
     # determinism
     out2 = ivf_probe(d, q["vec_id"].to_numpy(), Q, k=3, n_probe=2).to_pandas()
     assert out.equals(out2)
+    # probing every centroid scans every vector: the probe is then the
+    # exact top-k, row for row (the same scan, reduce and merge)
+    full = ivf_probe(d, q["vec_id"].to_numpy(), Q, k=3, n_probe=16).to_pandas()
+    assert (full.n_scanned == 499).all()
+    exact = knn_bruteforce(emb, q["vec_id"].tolist(), k=3).to_pandas()
+    assert full.drop(columns="n_scanned").values.tolist() == exact.values.tolist()
 
 
 def test_hopping_window_each_event_in_overlap_factor_windows(ray_session):

@@ -411,6 +411,25 @@ def test_probe_reduce_path_matches_direct(ray_session, tmp_path, monkeypatch):
                                index_dir=str(tmp_path / "p2")).to_pandas()
     assert reduced_lsh.values.tolist() == direct_lsh.values.tolist()
     assert reduced_pq.values.tolist() == direct_pq.values.tolist()
+    # a huge scanned-rows estimate salts the reduce into two levels
+    # (vec_id lanes per query); the layouts are reused so only the
+    # probe sees the inflated estimate
+    import coderag_ray.config as cfg
+    import coderag_ray.stages.bucket_agg as bucket_agg
+
+    keys, real_exchange = [], bucket_agg.exchange
+
+    def spy(inputs, key, *a, **kw):
+        keys.append(key)
+        return real_exchange(inputs, key, *a, **kw)
+
+    monkeypatch.setattr(bucket_agg, "exchange", spy)
+    monkeypatch.setattr(cfg, "dataset_rows_estimate", lambda d_, **kw: 10_000_000_000)
+    salted_lsh = sim.lsh_knn(ds, qids, k=k, index_dir=str(tmp_path / "l1")).to_pandas()
+    salted_pq = sim.ivfpq_knn(ds, qids, k=k, index_dir=str(tmp_path / "p1")).to_pandas()
+    assert salted_lsh.values.tolist() == direct_lsh.values.tolist()
+    assert salted_pq.values.tolist() == direct_pq.values.tolist()
+    assert keys == [("query_id", "lane"), "query_id"] * 2, keys
 
 
 def test_duplicated_spans_counts_and_schema(ray_session):

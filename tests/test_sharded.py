@@ -43,7 +43,7 @@ def test_sharded_equals_single_reader(sharded_idx, n_shards):
             for k in (5, 20):
                 single = search(reader, q, k, with_doc_columns=False)
                 merged = srch.search(q, k)
-                assert _rows(merged) == _rows(single), (q, k, n_shards)
+                assert merged.equals(single), (q, k, n_shards)
     finally:
         srch.shutdown()
 
@@ -57,7 +57,7 @@ def test_sharded_wand_equals_single(sharded_idx):
         for q in QUERIES:
             single = search(reader, q, 10, with_doc_columns=False)
             merged = srch.search(q, 10)
-            assert _rows(merged) == _rows(single), q
+            assert merged.equals(single), q
     finally:
         srch.shutdown()
 
