@@ -83,10 +83,15 @@ _EV_JOIN = ("event_id", "user_id", "ts", "event_type", "value")
 
 
 def _embeddings(sf_dir: str, columns: tuple[str, ...] = ("vec_id", "embedding")):
+    """embeddings reader under its own schema minus the file's ``pandas``
+    metadata, a dict Ray cannot hash when it unifies block schemas."""
+    import pyarrow.parquet as pq
     import ray.data
 
-    return ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                 columns=list(columns))
+    path = f"{sf_dir}/embeddings.parquet"
+    file_schema = pq.read_schema(path)
+    return ray.data.read_parquet(path, columns=list(columns),
+                                 schema=pa.schema([file_schema.field(c) for c in columns]))
 
 
 
@@ -375,15 +380,19 @@ def q_corpus_stats(sf_dir: str):
     )
 
 
-def _bm25_topk(sf_dir: str, cfg: IndexConfig, preload: str = "auto"):
+def _bm25_topk(sf_dir: str, cfg: IndexConfig, mode: str = "bm25", disk: bool = False):
+    """Top-``TOPK`` rows per reference query; ``disk`` puts the reader's
+    postings over its preload cap, so every term comes from disk."""
     from coderag_ray.index.reader import IndexReader
     from coderag_ray.query.search import search
 
     idx = _index_for(sf_dir, cfg)
-    reader = IndexReader(idx, preload=preload)
+    reader = IndexReader(idx)
+    if disk:
+        reader.PRELOAD_MAX_BYTES = 0
     qids, dids, cids, scores = [], [], [], []
     for qid, text in BM25_QUERIES:
-        res = search(reader, text, TOPK, with_doc_columns=False)
+        res = search(reader, text, TOPK, with_doc_columns=False, mode=mode)
         n = res.num_rows
         qids.extend([qid] * n)
         dids.extend(res["doc_id"].to_pylist())
@@ -422,37 +431,18 @@ def q_bm25_topk_bpe(sf_dir: str):
 
 
 def q_bm25_topk_wand(sf_dir: str):
-    """The non-resident scorer (``preload="never"``: per-partition
-    exhaustive scoring of posting lists read from disk) against the SAME
+    """The disk source (a reader over its preload cap: every posting
+    list read from parquet and decoded per query term) against the SAME
     SQL oracle as ``q_bm25_topk``, which runs the resident champion-list
-    path — independent evidence that both scorers are exact.  The row
+    path — independent evidence that both sources are exact.  The row
     keeps its name from the block-max WAND scorer it used to check."""
-    return _bm25_topk(sf_dir, CFG_SIMPLE, preload="never")
+    return _bm25_topk(sf_dir, CFG_SIMPLE, disk=True)
 
 
 def q_cosine_topk(sf_dir: str):
     """TF-IDF cosine ranking (tfidf.ts:160-212 semantics) with a full
     SQL oracle (query vector, doc magnitudes over ALL chunk terms)."""
-    from coderag_ray.index.reader import IndexReader
-    from coderag_ray.query.search import search
-
-    idx = _index_for(sf_dir, CFG_SIMPLE)
-    reader = IndexReader(idx)
-    qids, dids, cids, scores = [], [], [], []
-    for qid, text in BM25_QUERIES:
-        res = search(reader, text, TOPK, with_doc_columns=False, mode="cosine")
-        qids.extend([qid] * res.num_rows)
-        dids.extend(res["doc_id"].to_pylist())
-        cids.extend(res["chunk_id"].to_pylist())
-        scores.extend(np.atleast_1d(round6(res["score"].to_numpy(zero_copy_only=False))).tolist())
-    return pa.table(
-        {
-            "query_id": pa.array(qids, type=pa.int64()),
-            "doc_id": pa.array(dids, type=pa.int64()),
-            "chunk_id": pa.array(cids, type=pa.int64()),
-            "score": pa.array(scores, type=pa.float64()),
-        }
-    )
+    return _bm25_topk(sf_dir, CFG_SIMPLE, mode="cosine")
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ A from-scratch rebuild of the capabilities of matperez/coderag
 distributed inverted-index build + BM25 query pipeline over Parquet
 tables of source code, expressed entirely in Ray Data
 (``ray.data.Dataset`` → ``map_batches`` over zero-copy Arrow batches,
-a map-side run-spill shuffle for the partition build).  Stateless
-stages are plain task maps; only the two stages with loaded state run
-as actor pools: the BPE tokenizer (merge table) and batch query scoring
-(resident index).
+a map-side run-spill shuffle for the partition build).  The build's
+stages, the BPE tokenizer included, run as plain task maps; only batch
+query scoring, which holds a resident index, runs as an actor pool.
 
 Layout
 ------
@@ -17,8 +16,9 @@ Layout
 - ``stages/``    Ray Data batch transforms (ingest, chunk, tokenize).
 - ``index/``     distributed index build, partition writer, manifest
   (checkpoint/resume), index reader.
-- ``query/``     exact BM25 top-k search (resident champion lists,
-  per-partition exhaustive, cosine), caching, sharded serving.
+- ``query/``     exact BM25 / cosine top-k search (one scorer over
+  resident or disk-read postings; champion lists for resident BM25),
+  caching, sharded serving.
 - ``pipelines/`` training-data operations beyond the reference: dedup
   (exact / MinHash-LSH / SimHash / n-gram Jaccard / embedding cosine),
   similarity search, text analysis, windowed event aggregation,

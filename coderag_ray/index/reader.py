@@ -1,21 +1,25 @@
 """Index reader — query-side access to a built index.
 
 Loads the small global state once (meta, manifest, per-query idf rows)
-and exposes per-partition posting/doc access.  The reference's
+and lays the partitions out as one global ordinal space (ascending
+partition, then local ordinal) shared by every scorer.  The reference's
 equivalent is the SQLite connection + ``getIdfScoresForTerms`` broadcast
 lookup (``/root/reference/packages/core/src/storage-persistent.ts:812-837``)
 and ``getAverageDocLength`` (``:939-963``); here idf rows are fetched by
-parquet predicate pushdown on the term-sorted ``idf/`` table, and each
-partition's postings by pushdown on the term-sorted
-``postings.parquet``.  Partition doc arrays are cached per reader (one
+parquet predicate pushdown on the term-sorted ``idf/`` table, and a
+term's postings by row-group pruning of each partition's term-sorted
+``postings.parquet``.  Everything loaded is cached per reader (one
 reader per query-server process / scorer actor — ST-style state,
 ``indexer.ts:103`` analog).
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +41,6 @@ class PartitionHandle:
     doc_ids: np.ndarray      # [n_local] int64, ordinal-indexed
     chunk_ids: np.ndarray    # [n_local] int64
     dls: np.ndarray          # [n_local] int64 token counts
-    paths: np.ndarray | None = None  # lazily loaded for result filters
-    magnitudes: np.ndarray | None = None  # lazily loaded for cosine mode
 
     @property
     def n_chunks(self) -> int:
@@ -47,15 +49,14 @@ class PartitionHandle:
 
 @dataclass
 class CompactIndex:
-    """Merged-partition resident query view.
+    """The reader's chunk rows in global-ordinal order
+    (``global_ord = part_offset + local_ord``; partitions concatenated in
+    ascending part order), plus the resident postings once preloaded.
 
-    When the whole shard is preloaded, per-query work per term collapses
-    from P python iterations to ONE numpy pass over a global posting
-    array (``global_ord = part_offset + local_ord``; segments are
-    concatenated in ascending part order).  Results are bitwise-identical
-    to the per-partition path: per-doc score sums still run in query-term
-    order and the explicit (score, doc_id, chunk_id) tie-break never
-    depends on ordinal layout.
+    Per query, scoring a term is ONE numpy pass over its global posting
+    array.  Scores do not depend on the layout: per-doc sums run in
+    query-term order and the explicit (score, doc_id, chunk_id)
+    tie-break never looks at ordinals.
     """
 
     doc_ids: np.ndarray
@@ -65,8 +66,7 @@ class CompactIndex:
     # term → (global ords, per-posting BM25 impact).  The impact is the
     # full per-posting contribution idf * (tf*(k1+1)) / (tf + dl_norm[ord])
     # precomputed ONCE at preload with the identical float64 expression
-    # tree the per-query path would evaluate — per query, scoring a term
-    # is a single gather-add.
+    # tree the disk source evaluates per query (bm25_term_score)
     postings: dict[str, tuple[np.ndarray, np.ndarray]]
 
     def locate(self, global_ords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,19 +82,16 @@ class CompactIndex:
 
 
 class IndexReader:
-    def __init__(self, index_dir: str, preload: str = "auto",
-                 partitions: list[int] | None = None):
-        """``preload``: "auto" builds the resident compact index on first
-        search when the shard fits (latency-optimal, ~secs of startup);
-        "never" keeps lazy row-group-pruned reads + per-term LRU
-        (startup-optimal — e.g. many short-lived batch-scorer actors).
-
-        ``partitions``: restrict this reader to a subset of index
+    def __init__(self, index_dir: str, partitions: list[int] | None = None):
+        """``partitions``: restrict this reader to a subset of index
         partitions — the SHARD of a scatter-gather query tier
         (:mod:`coderag_ray.query.sharded`).  Global statistics (N,
         avgdl, idf) always come from the whole index, so shard-local
-        scores are bitwise identical to whole-index scores."""
-        self._preload_mode = preload
+        scores are bitwise identical to whole-index scores.
+
+        The postings are resident when the shard's compressed postings
+        fit ``PRELOAD_MAX_BYTES`` (:meth:`ensure_preloaded`); otherwise
+        each query term is read from disk once (:meth:`term_postings`)."""
         self.index_dir = index_dir
         self.meta = mf.load_meta(index_dir)
         self.config = IndexConfig.from_dict(self.meta["config"])
@@ -110,16 +107,14 @@ class IndexReader:
         self._part_cache: dict[int, PartitionHandle] = {}
         self._idf_cache: dict[str, tuple[int, float]] = {}
         self._idf_misses: set[str] = set()
-        # per-(part, term) posting-record LRU — the query-server analog of
-        # the reference's query-token/search caches (tfidf.ts:20-38,
-        # search-cache.ts:24-132); invalidation = new reader per index build
-        from collections import OrderedDict
-
-        self._post_cache: OrderedDict[tuple[int, str], dict | None] = OrderedDict()
-        self._post_cache_cap = 200_000
+        # per-term decoded-postings LRU of the disk source — the
+        # query-server analog of the reference's query-token/search caches
+        # (tfidf.ts:20-38, search-cache.ts:24-132); invalidation = new
+        # reader per index build
+        self._term_cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._term_cache_postings = 0
+        self._term_lock = threading.Lock()
         self._preload_checked = False
-        import threading
-
         # serializes ensure_preloaded against preload_async's background
         # thread — a search arriving mid-preload blocks until resident
         self._preload_lock = threading.Lock()
@@ -130,11 +125,11 @@ class IndexReader:
         # thread's own idf call) keeps the full-load check-then-set and
         # the cache/miss mutations single-writer
         self._idf_lock = threading.Lock()
-        # the ordinal space and embedding matrix are loaded once, by
-        # whichever of the preload thread and a query gets there first
+        # the ordinal space and the per-ordinal columns are loaded once,
+        # by whichever of the preload thread and a query gets there first
         self._rows_lock = threading.Lock()
         self._rows: CompactIndex | None = None
-        self._embeddings: np.ndarray | None = None
+        self._columns: dict[str, np.ndarray] = {}
         self._bytes_postings = sum(
             row.get("bytes_postings", 0) for row in mf.manifest_partitions(man).values()
         )
@@ -205,15 +200,6 @@ class IndexReader:
             self._part_cache[part_id] = h
         return h
 
-    def partition_paths(self, part_id: int) -> np.ndarray:
-        h = self.partition(part_id)
-        if h.paths is None:
-            tbl = pq.read_table(
-                os.path.join(self.part_dir(part_id), "docs.parquet"), columns=["path"]
-            )
-            h.paths = np.array(tbl["path"].to_pylist(), dtype=object)
-        return h.paths
-
     def ordinal_space(self) -> CompactIndex:
         """This reader's chunk rows in global-ordinal order (ascending
         partition, then local ordinal), as a postings-free
@@ -231,29 +217,60 @@ class IndexReader:
                     postings={})
             return self._rows
 
+    def _per_ordinal(self, name: str, read, empty: np.ndarray) -> np.ndarray:
+        """``read(part_id)`` over this reader's partitions, concatenated
+        in global-ordinal order (:meth:`ordinal_space`).  Loaded on first
+        use and held for the reader's lifetime: a new index build gets a
+        new reader."""
+        with self._rows_lock:
+            if name not in self._columns:
+                parts = [read(pid) for pid in self.partitions]
+                self._columns[name] = np.concatenate(parts) if parts else empty
+            return self._columns[name]
+
     def embeddings(self) -> np.ndarray:
         """The partitions' ``embeddings.parquet`` sidecars as one
-        (n_chunks, d) float64 matrix whose row i is global ordinal i of
-        :meth:`ordinal_space`.  Loaded on first use and held for the
-        reader's lifetime: a new index build gets a new reader."""
-        with self._rows_lock:
-            if self._embeddings is None:
-                mats = []
-                for pid in self.partitions:
-                    path = os.path.join(self.part_dir(pid), "embeddings.parquet")
-                    if not os.path.exists(path):
-                        raise FileNotFoundError(f"no embeddings sidecar in partition {pid}; "
-                                                "run build_embeddings() first")
-                    E = emb_matrix(pq.read_table(path, columns=["embedding"])["embedding"])
-                    if len(E) != self.partition(pid).n_chunks:
-                        raise ValueError(
-                            f"embeddings sidecar of partition {pid} has {len(E)} rows "
-                            f"for {self.partition(pid).n_chunks} chunks; rerun build_embeddings()")
-                    mats.append(E)
-                self._embeddings = np.concatenate(mats) if mats else np.empty((0, 0))
-            return self._embeddings
+        (n_chunks, d) float64 matrix whose row i is global ordinal i."""
+        def read(pid: int) -> np.ndarray:
+            path = os.path.join(self.part_dir(pid), "embeddings.parquet")
+            if not os.path.exists(path):
+                raise FileNotFoundError(f"no embeddings sidecar in partition {pid}; "
+                                        "run build_embeddings() first")
+            E = emb_matrix(pq.read_table(path, columns=["embedding"])["embedding"])
+            if len(E) != self.partition(pid).n_chunks:
+                raise ValueError(
+                    f"embeddings sidecar of partition {pid} has {len(E)} rows "
+                    f"for {self.partition(pid).n_chunks} chunks; rerun build_embeddings()")
+            return E
+
+        return self._per_ordinal("embeddings", read, np.empty((0, 0)))
+
+    def paths(self) -> np.ndarray:
+        """Chunk paths (object array) by global ordinal, for result filters."""
+        def read(pid: int) -> np.ndarray:
+            tbl = pq.read_table(os.path.join(self.part_dir(pid), "docs.parquet"),
+                                columns=["path"])
+            return np.array(tbl["path"].to_pylist(), dtype=object)
+
+        return self._per_ordinal("paths", read, np.empty(0, dtype=object))
+
+    def magnitudes(self) -> np.ndarray:
+        """Per-chunk TF-IDF magnitudes (cosine mode) by global ordinal;
+        built by :func:`coderag_ray.index.magnitudes.build_magnitudes`."""
+        def read(pid: int) -> np.ndarray:
+            path = os.path.join(self.part_dir(pid), "magnitudes.parquet")
+            if not os.path.exists(path):
+                raise FileNotFoundError(
+                    f"no magnitudes in partition {pid}; build with "
+                    "store_magnitudes=True or run build_magnitudes()")
+            tbl = pq.read_table(path, columns=["magnitude"])
+            return tbl["magnitude"].to_numpy(zero_copy_only=False).astype(np.float64)
+
+        return self._per_ordinal("magnitudes", read, np.empty(0))
 
     PRELOAD_MAX_BYTES = 512 << 20  # compressed; per query-server shard
+    # decoded (ordinal, freq) pairs the disk source keeps, ~256 MB
+    _TERM_CACHE_MAX_POSTINGS = 1 << 24
 
     def compact(self) -> "CompactIndex | None":
         """Merged-partition resident view (see :class:`CompactIndex`);
@@ -272,8 +289,6 @@ class IndexReader:
         was tried and REVERTED: on a slow-memory box the lazy queries
         starve the preload thread and the whole feed runs lazy — strictly
         worse than blocking; see BASELINE.md's spin-up box control.)"""
-        import threading
-
         if self._preload_checked or self._preload_thread is not None:
             return
         t = threading.Thread(target=self.ensure_preloaded, daemon=True)
@@ -281,13 +296,13 @@ class IndexReader:
         t.start()
 
     def ensure_preloaded(self) -> bool:
-        """Pin all posting lists in RAM when the shard is small enough.
+        """Pin all posting lists in RAM, as BM25 impacts, when the shard's
+        compressed postings fit ``PRELOAD_MAX_BYTES``.
 
         This is the query-server scale design: each scorer holds its
         partition shard's postings in memory (Lucene/ES-style); the
-        row-group-pruned parquet path remains the cold/oversized
-        fallback, and serves the per-partition exhaustive and cosine
-        scorers (filtered, cosine and non-resident queries).
+        row-group-pruned parquet reads of :meth:`term_postings` remain
+        the source for an oversized shard and for cosine queries.
         Fully vectorized: each partition's posting buffers are decoded in
         one pass (:func:`coderag_ray.functions.varint.decode_delta_runs`)
         — no per-term Python loop.  Returns True if resident.
@@ -299,7 +314,7 @@ class IndexReader:
         if self._preload_checked:
             return self.compact() is not None
         self._preload_checked = True
-        if self._preload_mode == "never" or self._bytes_postings > self.PRELOAD_MAX_BYTES:
+        if self._bytes_postings > self.PRELOAD_MAX_BYTES:
             return False
 
         rows = self.ordinal_space()
@@ -415,8 +430,6 @@ class IndexReader:
         champions-vs-index consistency surface).  The computation is
         byte-identical to the lazy path in ``query.search``; lazy
         per-term fill remains for terms beyond the seed cap."""
-        from collections import OrderedDict
-
         from coderag_ray.query.search import (
             CHAMPION_C, CHAMPION_CACHE_TERMS, CHAMPION_LADDER)
 
@@ -434,68 +447,51 @@ class IndexReader:
                          "rungs": {}}
         compact._champions = champs
 
-    def partition_magnitudes(self, part_id: int) -> np.ndarray:
-        """Per-chunk TF-IDF magnitudes (cosine mode); built by
-        :func:`coderag_ray.index.magnitudes.build_magnitudes`."""
-        h = self.partition(part_id)
-        if h.magnitudes is None:
-            path = os.path.join(self.part_dir(part_id), "magnitudes.parquet")
-            if not os.path.exists(path):
-                raise FileNotFoundError(
-                    f"no magnitudes in partition {part_id}; build with "
-                    "store_magnitudes=True or run build_magnitudes()"
-                )
-            tbl = pq.read_table(path, columns=["magnitude"])
-            h.magnitudes = tbl["magnitude"].to_numpy(zero_copy_only=False).astype(np.float64)
-        return h.magnitudes
-
-    def postings_for_terms(self, part_id: int, terms: list[str]) -> dict[str, dict]:
-        """term → posting-list record (``term``, ``df_local`` and the
-        encoded ``doc_buf``/``freq_buf``).
+    def term_postings(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """term → (ascending global ordinals, float64 term frequencies)
+        over this reader's partitions; empty arrays for a term with no
+        postings here.  The disk source of :func:`coderag_ray.query.search.search`.
 
         Term-sorted parquet + row-group statistics make this an
-        O(#query-terms) selective read, the analog of the reference's
-        ``WHERE term IN (...)`` posting scan
-        (storage-persistent.ts:715-740) without the candidate cap.
+        O(#query-terms) selective read per partition, the analog of the
+        reference's ``WHERE term IN (...)`` posting scan
+        (storage-persistent.ts:715-740) without the candidate cap.  Each
+        term is decoded once, shifted by its partition's ordinal offset
+        and cached (LRU, bounded by ``_TERM_CACHE_MAX_POSTINGS``).
         """
-        out: dict[str, dict] = {}
-        missing = []
-        for t in terms:
-            key = (part_id, t)
-            if key in self._post_cache:
-                self._post_cache.move_to_end(key)
-                rec = self._post_cache[key]
-                if rec is not None:
-                    out[t] = rec
-            else:
-                missing.append(t)
-        if missing:
-            pf, rg_mins, rg_maxs = self._postings_file(part_id)
-            # postings.parquet is term-sorted → row-group statistics form
-            # sorted, disjoint term ranges; binary-search the groups that
-            # can contain each query term and read only those.
-            import bisect
+        with self._term_lock:
+            return self._term_postings_locked(terms)
 
-            rgs = sorted(
-                {
-                    i
-                    for t in missing
-                    for i in [bisect.bisect_right(rg_mins, t) - 1]
-                    if 0 <= i < len(rg_mins) and rg_mins[i] <= t <= rg_maxs[i]
-                }
-            )
-            found = set()
-            if rgs:
-                tbl = pf.read_row_groups(rgs)
+    def _term_postings_locked(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        cache = self._term_cache
+        missing = list(dict.fromkeys(t for t in terms if t not in cache))
+        if missing:
+            offsets = self.ordinal_space().part_offsets
+            found: dict[str, tuple[list, list]] = {t: ([], []) for t in missing}
+            for pid in self.partitions:
+                pf, rg_mins, rg_maxs = self._postings_file(pid)
+                # row-group statistics form sorted, disjoint term ranges;
+                # binary-search the groups that can contain each term
+                rgs = sorted({i for t in missing for i in [bisect.bisect_right(rg_mins, t) - 1]
+                              if 0 <= i < len(rg_mins) and rg_mins[i] <= t <= rg_maxs[i]})
+                if not rgs:
+                    continue
+                tbl = pf.read_row_groups(rgs, columns=["term", "doc_buf", "freq_buf"])
                 for rec in tbl.filter(pc.field("term").isin(missing)).to_pylist():
-                    out[rec["term"]] = rec
-                    found.add(rec["term"])
-                    self._post_cache[(part_id, rec["term"])] = rec
-            for t in missing:
-                if t not in found:
-                    self._post_cache[(part_id, t)] = None  # negative cache
-            while len(self._post_cache) > self._post_cache_cap:
-                self._post_cache.popitem(last=False)
+                    ords, freqs = found[rec["term"]]
+                    ords.append(varint.decode_deltas(rec["doc_buf"]).astype(np.int64)
+                                + offsets[pid])
+                    freqs.append(varint.decode(rec["freq_buf"]).astype(np.float64))
+            for t, (ords, freqs) in found.items():
+                cache[t] = (np.concatenate(ords or [np.empty(0, dtype=np.int64)]),
+                            np.concatenate(freqs or [np.empty(0)]))
+                self._term_cache_postings += len(cache[t][0]) + 1
+        out = {}
+        for t in terms:
+            cache.move_to_end(t)
+            out[t] = cache[t]
+        while self._term_cache_postings > self._TERM_CACHE_MAX_POSTINGS and cache:
+            self._term_cache_postings -= len(cache.popitem(last=False)[1][0]) + 1
         return out
 
     def _postings_file(self, part_id: int):

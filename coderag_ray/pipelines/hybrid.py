@@ -6,10 +6,9 @@ re-expressed Ray-native.
   partition's chunk content — one task per partition, no shuffle).
 - :func:`vector_topk` is the one exact vector scorer: the reader holds
   every sidecar as one resident ``(n_chunks, d)`` matrix
-  (:meth:`IndexReader.embeddings`), and a query is one row-wise product,
-  a tie-safe partition for the k-th similarity and a ``lexsort`` on
-  ``(-similarity, doc_id, chunk_id)`` over the rows at or above it —
-  the shape of BM25's resident top-k.
+  (:meth:`IndexReader.embeddings`), and a query is one row-wise product
+  ranked by BM25's :func:`~coderag_ray.query.search.top_k` on
+  ``(similarity DESC, doc_id, chunk_id)``.
 - :func:`hybrid_search` merges the two top-k lists with the reference's
   weighted max-normalized fusion (``hybrid-search.ts:169-263``
   ``mergeSearchResults``): each side is normalized by its own max score
@@ -29,7 +28,7 @@ import pyarrow.parquet as pq
 
 from coderag_ray.functions.embeddings import DEFAULT_DIMENSIONS, MockProvider, mock_embedding
 from coderag_ray.index.reader import IndexReader
-from coderag_ray.query.search import search
+from coderag_ray.query.search import search, top_k
 
 
 def build_embeddings(index_dir: str, dimensions: int = DEFAULT_DIMENSIONS) -> int:
@@ -71,11 +70,7 @@ def vector_topk(reader: IndexReader, query: str, k: int,
     rows = reader.ordinal_space()
     sims = np.einsum("ij,j->i", E, mock_embedding(query, dimensions)) if len(E) \
         else np.empty(0)
-    cand = np.arange(len(sims))
-    if 0 < k < len(sims):
-        # every row at or above the k-th similarity, ties included
-        cand = np.flatnonzero(sims >= np.partition(sims, len(sims) - k)[len(sims) - k])
-    top = cand[np.lexsort((rows.chunk_ids[cand], rows.doc_ids[cand], -sims[cand]))][:k]
+    top = top_k(np.arange(len(sims)), sims, rows.doc_ids, rows.chunk_ids, k)
     pids, ords = rows.locate(top)
     return pa.table({
         "doc_id": pa.array(rows.doc_ids[top], type=pa.int64()),
@@ -119,8 +114,7 @@ def hybrid_search(index: IndexReader | str, query: str, k: int = 10,
     method = np.where(has_v & has_b, "hybrid", np.where(has_v, "vector", "tfidf"))
     live = np.ones(len(doc), dtype=bool)
     live[bi] = False
-    rows = np.flatnonzero(live)
-    top = rows[np.lexsort((chunk[rows], doc[rows], -score[rows]))][:k]
+    top = top_k(np.flatnonzero(live), score, doc, chunk, k)
     return pa.table({
         "rank": pa.array(np.arange(1, len(top) + 1), type=pa.int32()),
         "doc_id": pa.array(doc[top], type=pa.int64()),

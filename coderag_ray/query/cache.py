@@ -119,7 +119,6 @@ def create_cache_key(query: str, *, limit: int | None = None,
 # cache key so `search(q)` and `search(q, mode="bm25")` share one entry
 _SEARCH_KWARG_DEFAULTS = {
     "mode": "bm25", "min_score": 0.0, "with_doc_columns": True,
-    "candidate_cap": None,
 }
 
 

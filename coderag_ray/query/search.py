@@ -15,39 +15,44 @@ in-memory ``searchDocuments`` (``tfidf.ts:354-427``):
   BM25 kernel — float64-deterministic across partitionings,
 - frozen tie-break ``(score DESC, doc_id ASC, chunk_id ASC)`` (the
   reference's JS stable sort over retrieval order is nondeterministic
-  across rebuilds, SURVEY.md §4),
+  across rebuilds, SURVEY.md §4), applied by :func:`top_k` — the one
+  ordering every ranked result in the engine goes through,
 - result filters (fileExtensions / pathFilter / excludePaths,
   ``indexer.ts:1318-1333``) applied *pre-ranking* (superset of the
-  reference's post-retrieval filtering — documented deviation M15),
-- partitions scored independently (embarrassingly parallel — each
-  holds a complete local index) and merged by the same tie-break, so
-  results are identical at any partition count.
+  reference's post-retrieval filtering — documented deviation M15).
 
-Three exact scorers, chosen from what the call can see, return the
-same top-k bitwise:
+One exact scorer over the reader's global ordinal space
+(:meth:`IndexReader.ordinal_space`).  Each query term, in query order,
+supplies its ascending global ordinals and one value per posting from
+one of two sources:
 
-- :func:`_search_compact` — resident reader, ``mode="bm25"``, no
-  filters: champion lists with the exhaustive scatter as fallback over
-  the merged preloaded index (the serving path);
-- :func:`_partition_scores` — result filters, or a reader that is not
-  resident (``preload="never"`` or postings over the preload cap):
-  exhaustive scoring of each partition's posting lists, read from disk;
-- :func:`_partition_scores_cosine` — ``mode="cosine"``.
+- resident: the preloaded :class:`CompactIndex`'s BM25 impacts — BM25
+  on a reader whose postings fit ``IndexReader.PRELOAD_MAX_BYTES``;
+- disk: :meth:`IndexReader.term_postings` (row-group-pruned reads,
+  decoded and cached per term) valued by ``bm25_term_score`` or by the
+  cosine dot term — cosine queries, and BM25 on a reader over the cap.
 
-Per-query execution is a driver-side loop over O(P) partitions — at
-256-node scale this becomes one scatter-gather RPC per scorer actor
-holding its partition shard (:mod:`coderag_ray.query.sharded`), which
-:class:`BatchScorer` models for batch evaluation.
+The values scatter into one float64 score per chunk of the reader.
+Every BM25 and cosine contribution is strictly positive, so
+``score > 0`` marks the candidates; then come the cosine division by
+``|q| * |d|``, the result filters, ``min_score`` and :func:`top_k`.
+Resident, unfiltered BM25 first tries the champion lists
+(:func:`_champion_select`), which certify the exact top-k without the
+scatter or fall back to it.
+
+A sharded deployment (:mod:`coderag_ray.query.sharded`) runs this
+scorer per partition shard and merges the shards with :func:`top_k`;
+:class:`BatchScorer` runs it per actor for batch evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 
-from coderag_ray.functions import varint
 from coderag_ray.functions.bm25 import bm25_term_score
 from coderag_ray.functions.tokenizer import tokenize
 from coderag_ray.index.reader import IndexReader
@@ -67,164 +72,33 @@ def dedupe_query_tokens(tokens: list[str]) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
-def _decoded(rec: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(ordinals, freqs) of one posting record, decoded once and kept on
-    the cached record."""
-    ords = rec.get("_ords")
-    if ords is None:
-        ords = rec["_ords"] = varint.decode_deltas(rec["doc_buf"]).astype(np.int64)
-        rec["_freqs"] = varint.decode(rec["freq_buf"]).astype(np.float64)
-    return ords, rec["_freqs"]
-
-
-def _filter_keep(reader: IndexReader, part_id: int, cand: np.ndarray,
-                 filters: SearchFilters) -> np.ndarray:
-    """Boolean mask over ``cand`` of the chunks whose path passes the
-    result filters (indexer.ts:1318-1333)."""
-    paths = reader.partition_paths(part_id)[cand]
-    keep = np.ones(len(cand), dtype=bool)
+def _filter_keep(paths: np.ndarray, filters: SearchFilters) -> np.ndarray:
+    """Boolean mask over ``paths`` of the chunks that pass the result
+    filters (indexer.ts:1318-1333)."""
+    keep = np.ones(len(paths), dtype=bool)
     if filters.file_extensions:
-        keep &= np.array([any(p.endswith(e) for e in filters.file_extensions) for p in paths])
+        keep &= np.array([any(p.endswith(e) for e in filters.file_extensions) for p in paths],
+                         dtype=bool)
     if filters.path_filter:
-        keep &= np.array([filters.path_filter in p for p in paths])
+        keep &= np.array([filters.path_filter in p for p in paths], dtype=bool)
     if filters.exclude_paths:
-        keep &= np.array([not any(x in p for x in filters.exclude_paths) for p in paths])
+        keep &= np.array([not any(x in p for x in filters.exclude_paths) for p in paths],
+                         dtype=bool)
     return keep
 
 
-def _partition_scores(
-    reader: IndexReader,
-    part_id: int,
-    tokens: list[str],
-    contribution: dict,
-    filters: SearchFilters | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exhaustive scoring of one partition: each query term with a
-    ``contribution[tok](freqs, dls)`` adds it to the chunks of its
-    posting list (``dls`` = their lengths, floored at 1 — tfidf.ts:400),
-    in query order.
-
-    Returns (candidate_ordinals, scores, matched_bitmask) for ordinals
-    with ≥1 matched term (after filters).
-    """
-    h = reader.partition(part_id)
-    postings = reader.postings_for_terms(part_id, [t for t in tokens if t in contribution])
-    scores = np.zeros(h.n_chunks, dtype=np.float64)
-    matched = np.zeros(h.n_chunks, dtype=np.int64)
-    dls = np.maximum(h.dls, 1).astype(np.float64)
-    for qi, tok in enumerate(tokens):
-        rec = postings.get(tok)
-        if rec is None:
-            continue
-        ords, freqs = _decoded(rec)
-        scores[ords] += contribution[tok](freqs, dls[ords])
-        matched[ords] |= 1 << qi
-
-    cand = np.flatnonzero(matched)
-    if len(cand) and filters is not None:
-        cand = cand[_filter_keep(reader, part_id, cand, filters)]
-    return cand, scores[cand], matched[cand]
-
-
-def _bm25_contribution(reader: IndexReader, idf_map: dict[str, tuple[int, float]]) -> dict:
-    return {tok: (lambda freqs, dls, idf=idf: bm25_term_score(freqs, idf, dls, reader.avgdl))
-            for tok, (_, idf) in idf_map.items()}
-
-
-def build_query_vector(
-    query: str, reader: IndexReader
-) -> tuple[list[str], dict[str, float], float]:
-    """Query TF-IDF vector + magnitude — tfidf.ts:160-175 semantics:
-    tf = rawFreq / totalQueryTokens, tfidf = tf * idf (missing idf → 0),
-    magnitude over all query terms.  Returns (unique_tokens_in_order,
-    q_tfidf, q_magnitude)."""
-    all_toks = tokenize(query, reader.config.tokenizer,
-                        getattr(reader.config, "bpe_vocab_path", None))
-    uniq = dedupe_query_tokens(all_toks)
-    if not uniq:
-        return [], {}, 0.0
-    total = float(len(all_toks))
-    idf_map = reader.idf_for_terms(uniq)
-    counts: dict[str, int] = {}
-    for t in all_toks:
-        counts[t] = counts.get(t, 0) + 1
-    q_tfidf = {
-        t: (counts[t] / total) * (idf_map[t][1] if t in idf_map else 0.0) for t in uniq
-    }
-    qmag = float(np.sqrt(np.sum(np.array([q_tfidf[t] for t in uniq]) ** 2)))
-    return uniq, q_tfidf, qmag
-
-
-def _partition_scores_cosine(
-    reader: IndexReader,
-    part_id: int,
-    tokens: list[str],
-    q_tfidf: dict[str, float],
-    qmag: float,
-    filters: SearchFilters | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cosine-similarity scoring of one partition — tfidf.ts:191-212:
-    cos = Σ_t q_tfidf[t] * doc_tfidf[t] / (|q| * |d|), 0 when either
-    magnitude is 0; doc_tfidf = (rawFreq/dl) * idf."""
-    idf_map = reader.idf_for_terms(tokens)
-    contribution = {
-        tok: (lambda freqs, dls, w=q_tfidf[tok], idf=idf: w * ((freqs / dls) * idf))
-        for tok, (_, idf) in idf_map.items() if q_tfidf.get(tok, 0.0) != 0.0
-    }
-    cand, dot, matched = _partition_scores(reader, part_id, tokens, contribution, filters)
-    denom = qmag * reader.partition_magnitudes(part_id)[cand]
-    scores = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
-    return cand, scores, matched
-
-
-def _topk_merge(
-    parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
-    reader: IndexReader,
-    tokens: list[str],
-    k: int,
-    min_score: float,
-) -> pa.Table:
-    """Merge per-partition candidates with the frozen tie-break."""
-    rows = []
-    for part_id, cand, scores, matched in parts:
-        if len(cand) == 0:
-            continue
-        h = reader.partition(part_id)
-        keep = scores >= min_score  # reference keeps score == minScore (tfidf.ts:414)
-        rows.append(
-            (
-                np.full(keep.sum(), part_id, dtype=np.int64),
-                cand[keep],
-                scores[keep],
-                matched[keep],
-                h.doc_ids[cand[keep]],
-                h.chunk_ids[cand[keep]],
-            )
-        )
-    if not rows:
-        return _empty_result()
-    part_ids = np.concatenate([r[0] for r in rows])
-    ordinals = np.concatenate([r[1] for r in rows])
-    scores = np.concatenate([r[2] for r in rows])
-    matched = np.concatenate([r[3] for r in rows])
-    doc_ids = np.concatenate([r[4] for r in rows])
-    chunk_ids = np.concatenate([r[5] for r in rows])
-
-    order = np.lexsort((chunk_ids, doc_ids, -scores))[:k]
-    matched_terms = [
-        [tokens[qi] for qi in range(len(tokens)) if m & (1 << qi)] for m in matched[order]
-    ]
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int32)),
-            "doc_id": pa.array(doc_ids[order]),
-            "chunk_id": pa.array(chunk_ids[order]),
-            "score": pa.array(scores[order]),
-            "matched_terms": pa.array(matched_terms, type=pa.list_(pa.string())),
-            "part_id": pa.array(part_ids[order]),
-            "ordinal": pa.array(ordinals[order]),
-        }
-    )
+def top_k(rows: np.ndarray, score: np.ndarray, doc_ids: np.ndarray,
+          chunk_ids: np.ndarray, k: int) -> np.ndarray:
+    """The best ``k`` of ``rows`` under the frozen tie-break
+    ``(score DESC, doc_id, chunk_id)``, best first; ``score``,
+    ``doc_ids`` and ``chunk_ids`` are indexed by row.  An exact
+    preselect keeps every row at or above the k-th largest score (ties
+    included), so only the survivors are sorted."""
+    s = score[rows]
+    if 0 < k < len(rows):
+        keep = s >= np.partition(s, len(s) - k)[len(s) - k]
+        rows, s = rows[keep], s[keep]
+    return rows[np.lexsort((chunk_ids[rows], doc_ids[rows], -s))][:k]
 
 
 def _empty_result() -> pa.Table:
@@ -277,6 +151,28 @@ def make_snippets(result: pa.Table, reader: IndexReader) -> list[str]:
     return out
 
 
+def _disk_values(reader: IndexReader, tokens: list[str], idf_map: dict,
+                 weights: dict[str, float] | None) -> list:
+    """Per query term, in query order: (ascending global ordinals, one
+    value per posting) from the reader's disk postings, or None for a
+    term without idf.  The value is the BM25 contribution, or with query
+    ``weights`` the cosine dot term ``w * ((tf / dl) * idf)``
+    (tfidf.ts:191-212); ``dl`` is floored at 1 (tfidf.ts:400)."""
+    postings = reader.term_postings([t for t in tokens if t in idf_map])
+    all_dls = reader.ordinal_space().dls
+    out = []
+    for tok in tokens:
+        if tok not in postings:
+            out.append(None)
+            continue
+        ords, freqs = postings[tok]
+        dls = np.maximum(all_dls[ords], 1).astype(np.float64)
+        idf = idf_map[tok][1]
+        out.append((ords, bm25_term_score(freqs, idf, dls, reader.avgdl) if weights is None
+                    else weights[tok] * ((freqs / dls) * idf)))
+    return out
+
+
 def search(
     index: IndexReader | str,
     query: str,
@@ -286,59 +182,91 @@ def search(
     filters: SearchFilters | None = None,
     with_doc_columns: bool = True,
     mode: str = "bm25",
-    candidate_cap: int | None = None,
 ) -> pa.Table:
     """Top-k BM25 (or ``mode="cosine"``) search; returns an Arrow table
-    of ranked results.  The scorer follows from the reader and the call
-    (module docstring); every one is exact.
-
-    ``candidate_cap`` reproduces the reference's T3 recall
-    approximation (``storage-persistent.ts:738-739``): only the top
-    ``candidate_cap`` chunks by DISTINCT matched-term count (the
-    reference passes ``limit * 2``) are BM25-scored.  OFF by default —
-    the engine is exhaustive; ties break (count DESC, doc_id,
-    chunk_id) where the reference's SQLite ordering is unspecified.
-    Compact-path only (resident reader, plain bm25, no filters)."""
+    of ranked results (module docstring)."""
+    if mode not in ("bm25", "cosine"):
+        raise ValueError(f"unknown mode {mode!r}")
     reader = index if isinstance(index, IndexReader) else IndexReader(index)
-    tokens = dedupe_query_tokens(tokenize(
-        query, reader.config.tokenizer,
-        getattr(reader.config, "bpe_vocab_path", None)))
+    all_toks = tokenize(query, reader.config.tokenizer,
+                        getattr(reader.config, "bpe_vocab_path", None))
+    tokens = dedupe_query_tokens(all_toks)
     if not tokens or reader.n_chunks == 0:
         return _empty_result()
-    if len(tokens) > 63:
-        tokens = tokens[:63]  # bitmask bound; queries are human-sized
     idf_map = reader.idf_for_terms(tokens)
     if not idf_map:
         return _empty_result()
     reader.ensure_preloaded()
 
-    # resident + unfiltered bm25 → the compact path's champion-list
-    # early termination (impact-ordered pruning, exact) over preloaded
-    # postings and impacts; everything else scores partitions
-    # exhaustively — on a non-resident reader that beat block-max
-    # skipping at every measured size (docs/PERF_NOTES.md)
-    compact = reader.compact() if (filters is None and mode == "bm25") else None
+    compact = reader.compact() if mode == "bm25" else None
     if compact is not None:
-        return _search_compact(compact, reader, tokens, idf_map, k, min_score,
-                               with_doc_columns, candidate_cap)
-    if candidate_cap is not None:
-        raise ValueError("candidate_cap requires the compact bm25 path "
-                         "(resident reader, no filters, mode='bm25')")
-    if mode == "cosine":
-        uniq, q_tfidf, qmag = build_query_vector(query, reader)
-        parts = [
-            (pid, *_partition_scores_cosine(reader, pid, uniq, q_tfidf, qmag, filters))
-            for pid in reader.partitions
-        ]
-        return _finish(parts, reader, uniq, k, min_score, with_doc_columns)
-    if mode != "bm25":
-        raise ValueError(f"unknown mode {mode!r}")
-    contribution = _bm25_contribution(reader, idf_map)
-    parts = [
-        (pid, *_partition_scores(reader, pid, tokens, contribution, filters))
-        for pid in reader.partitions
-    ]
-    return _finish(parts, reader, tokens, k, min_score, with_doc_columns)
+        rows = compact
+        recs = [compact.postings.get(tok) for tok in tokens]
+    else:
+        rows = reader.ordinal_space()
+        weights = None
+        if mode == "cosine":
+            # query TF-IDF vector, tfidf.ts:160-175: tf = rawFreq /
+            # totalQueryTokens, tfidf = tf * idf (missing idf → 0)
+            counts, total = Counter(all_toks), float(len(all_toks))
+            weights = {t: (counts[t] / total) * (idf_map[t][1] if t in idf_map else 0.0)
+                       for t in tokens}
+            qmag = float(np.sqrt(np.sum(np.array([weights[t] for t in tokens]) ** 2)))
+        recs = _disk_values(reader, tokens, idf_map, weights)
+
+    sel = None
+    if compact is not None and filters is None and min_score <= 0.0 and k > 0:
+        fast = _champion_select(compact, tokens, list(zip(tokens, recs)), k)
+        if fast is not None:
+            sel, sel_scores = fast
+    if sel is None:
+        scores = np.zeros(rows.n_chunks, dtype=np.float64)
+        for rec in recs:  # query order — float determinism
+            if rec is not None:
+                scores[rec[0]] += rec[1]
+        # every contribution is strictly positive, so score > 0 ⟺ ≥1
+        # term matched — one scatter pass (a per-chunk matched mask
+        # scatter was ~half the hot-query cost at 930k chunks); the
+        # winners' matched_terms are recovered below from the postings
+        cand = np.flatnonzero(scores > 0.0)
+        if mode == "cosine":
+            # cos = dot / (|q| * |d|), 0 when either magnitude is 0
+            denom = qmag * reader.magnitudes()[cand]
+            scores[cand] = np.where(denom > 0, scores[cand] / np.where(denom > 0, denom, 1.0),
+                                    0.0)
+        if filters is not None:
+            cand = cand[_filter_keep(reader.paths()[cand], filters)]
+        if min_score > 0.0:
+            # the reference keeps score == minScore (tfidf.ts:414)
+            cand = cand[scores[cand] >= min_score]
+        sel = top_k(cand, scores, rows.doc_ids, rows.chunk_ids, k)
+        sel_scores = scores[sel]
+    if len(sel) == 0:
+        return _empty_result()
+
+    hits = []  # per term: which winners are in its ordinal-sorted postings
+    for rec in recs:
+        if rec is None or not len(rec[0]):
+            hits.append(np.zeros(len(sel), dtype=bool))
+            continue
+        j = np.minimum(np.searchsorted(rec[0], sel), len(rec[0]) - 1)
+        hits.append(rec[0][j] == sel)
+    matched_terms = [[tok for tok, h in zip(tokens, row) if h] for row in zip(*hits)]
+    pids, local = rows.locate(sel)
+    result = pa.table(
+        {
+            "rank": pa.array(np.arange(1, len(sel) + 1, dtype=np.int32)),
+            "doc_id": pa.array(rows.doc_ids[sel]),
+            "chunk_id": pa.array(rows.chunk_ids[sel]),
+            "score": pa.array(sel_scores),
+            "matched_terms": pa.array(matched_terms, type=pa.list_(pa.string())),
+            "part_id": pa.array(pids),
+            "ordinal": pa.array(local),
+        }
+    )
+    if with_doc_columns:
+        result = attach_doc_columns(result, reader)
+    return result
 
 
 CHAMPION_C = 256        # first-rung impact-ordered prefix length per term
@@ -462,98 +390,10 @@ def _champion_select(compact, tokens, recs, k):
             if not kth > bound:
                 prev_kth = kth
                 continue  # bound can't certify at this rung — escalate
-        order = np.lexsort((compact.chunk_ids[cand], compact.doc_ids[cand],
-                            -scores))[:k]
+        order = top_k(np.arange(len(cand)), scores, compact.doc_ids[cand],
+                      compact.chunk_ids[cand], k)
         return cand[order], scores[order]
     return None  # no rung certified → exhaustive scatter
-
-
-def _search_compact(compact, reader, tokens, idf_map, k, min_score,
-                    with_doc_columns, candidate_cap=None) -> pa.Table:
-    """One numpy pass per query term over the merged resident index —
-    bitwise-identical to the per-partition path (see CompactIndex)."""
-    recs = [(tok, compact.postings.get(tok)) for tok in tokens]
-    term_ords: list[np.ndarray | None] = [r[0] if r is not None else None
-                                          for _, r in recs]
-    sel = None
-    if candidate_cap is None and min_score <= 0.0 and k > 0:
-        fast = _champion_select(compact, tokens, recs, k)
-        if fast is not None:
-            sel, sel_scores = fast
-    if sel is None:
-        scores = np.zeros(compact.n_chunks, dtype=np.float64)
-        for _, rec in recs:
-            if rec is None:
-                continue
-            ords, impacts = rec  # impacts precomputed at preload (same floats)
-            scores[ords] += impacts
-        # BM25 impacts are strictly positive, so score > 0 ⟺ ≥1 term
-        # matched — one scatter pass instead of two (the per-chunk
-        # matched bitmask scatter was ~half the hot-query cost at 930k
-        # chunks); per-winner matched_terms are recovered below by
-        # binary search in each term's ordinal-sorted posting list.
-        cand = np.flatnonzero(scores > 0.0 if min_score <= 0.0
-                              else scores >= min_score)
-        if len(cand) == 0:
-            return _empty_result()
-        if candidate_cap is not None and len(cand) > candidate_cap:
-            # T3 (opt-in): keep only the top-cap candidates by distinct
-            # matched-term count before ranking — the reference's recall
-            # approximation; the count scatter is paid only on this path
-            counts = np.zeros(compact.n_chunks, dtype=np.int32)
-            for ords in term_ords:
-                if ords is not None:
-                    counts[ords] += 1
-            pre = np.lexsort((compact.chunk_ids[cand], compact.doc_ids[cand],
-                              -counts[cand]))[:candidate_cap]
-            cand = np.sort(cand[pre])
-        sc = scores[cand]
-        if k > 0 and len(cand) > 4 * k:
-            # exact top-k preselection: keep everything >= the k-th
-            # largest score (ties included), then tie-break-sort the
-            # small survivor set
-            kth = np.partition(sc, len(sc) - k)[len(sc) - k]
-            m = sc >= kth
-            cand, sc = cand[m], sc[m]
-        order = np.lexsort((compact.chunk_ids[cand], compact.doc_ids[cand], -sc))[:k]
-        sel = cand[order]
-        sel_scores = scores[sel]
-    if len(sel) == 0:
-        return _empty_result()
-    pids, local = compact.locate(sel)
-
-    def _terms_of(o: int) -> list[str]:
-        out = []
-        for qi, ords in enumerate(term_ords):
-            if ords is None or not len(ords):
-                continue
-            j = int(np.searchsorted(ords, o))
-            if j < len(ords) and ords[j] == o:
-                out.append(tokens[qi])
-        return out
-
-    matched_terms = [_terms_of(int(o)) for o in sel]
-    result = pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(sel) + 1, dtype=np.int32)),
-            "doc_id": pa.array(compact.doc_ids[sel]),
-            "chunk_id": pa.array(compact.chunk_ids[sel]),
-            "score": pa.array(sel_scores),
-            "matched_terms": pa.array(matched_terms, type=pa.list_(pa.string())),
-            "part_id": pa.array(pids),
-            "ordinal": pa.array(local),
-        }
-    )
-    if with_doc_columns and result.num_rows:
-        result = attach_doc_columns(result, reader)
-    return result
-
-
-def _finish(parts, reader, tokens, k, min_score, with_doc_columns) -> pa.Table:
-    result = _topk_merge(parts, reader, tokens, k, min_score)
-    if with_doc_columns and result.num_rows:
-        result = attach_doc_columns(result, reader)
-    return result
 
 
 class BatchScorer:
@@ -567,10 +407,8 @@ class BatchScorer:
     shard-local top-k; single-node actors hold the whole (small) index.
     """
 
-    def __init__(self, index_dir: str, k: int = 10, preload: str = "auto"):
-        # short-lived pool actors default to lazy reads unless the caller
-        # opts into the resident preload ("auto"/"never" per IndexReader)
-        self.reader = IndexReader(index_dir, preload=preload)
+    def __init__(self, index_dir: str, k: int = 10):
+        self.reader = IndexReader(index_dir)
         # overlap the resident preload with pool spin-up / first feed —
         # the first query blocks on the preload lock only for whatever
         # build time remains (VERDICT r4 item 6)

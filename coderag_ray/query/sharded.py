@@ -10,8 +10,8 @@ Exactness: BM25/cosine scores depend only on GLOBAL statistics (N,
 avgdl, idf — which every shard reads from the shared index dir) and on
 per-chunk postings (partition-local), so shard-local scores are bitwise
 identical to whole-index scores, and the global top-k is contained in
-the union of shard top-ks.  The merged result therefore EQUALS the
-single-reader result exactly (asserted in tests).
+the union of shard top-ks.  The merged result (:func:`merge_shard_results`)
+therefore EQUALS the single-reader result exactly (asserted in tests).
 
 On a real cluster each actor lives next to its partitions' storage and
 the fan-out is one small RPC per shard; p50 follows the slowest shard
@@ -24,13 +24,29 @@ import numpy as np
 import pyarrow as pa
 
 
+def merge_shard_results(tables: list[pa.Table], k: int) -> pa.Table:
+    """Shard-local ``search(..., with_doc_columns=False)`` tables merged
+    into the single-reader table: the global top-k under the frozen
+    tie-break, ``rank`` renumbered."""
+    from coderag_ray.query.search import _empty_result, top_k
+
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return _empty_result()
+    merged = pa.concat_tables(tables)
+    top = top_k(np.arange(merged.num_rows), merged["score"].to_numpy(),
+                merged["doc_id"].to_numpy(), merged["chunk_id"].to_numpy(), k)
+    return merged.take(pa.array(top)).set_column(
+        0, "rank", pa.array(np.arange(1, len(top) + 1, dtype=np.int32)))
+
+
 class ShardActor:
     """Plain class; wrap with ``ray.remote`` (done by ShardedSearcher)."""
 
-    def __init__(self, index_dir: str, partitions: list[int], preload: str = "auto"):
+    def __init__(self, index_dir: str, partitions: list[int]):
         from coderag_ray.index.reader import IndexReader
 
-        self.reader = IndexReader(index_dir, preload=preload, partitions=partitions)
+        self.reader = IndexReader(index_dir, partitions=partitions)
         # all shards preload concurrently while the searcher waits on
         # ping(); the first query pays only the remainder
         self.reader.preload_async()
@@ -47,8 +63,7 @@ class ShardActor:
 class ShardedSearcher:
     """Fan-out/merge front over ``n_shards`` partition-shard actors."""
 
-    def __init__(self, index_dir: str, n_shards: int = 4, preload: str = "auto",
-                 num_cpus_per_shard: float = 0.25):
+    def __init__(self, index_dir: str, n_shards: int = 4, num_cpus_per_shard: float = 0.25):
         # fractional default: n_shards × reservation must fit the
         # cluster or actor creation blocks forever (size it up in
         # production where shards own real CPU)
@@ -62,7 +77,7 @@ class ShardedSearcher:
         n_shards = max(1, min(n_shards, len(parts) or 1))
         shards = [parts[i::n_shards] for i in range(n_shards)]  # round-robin: even posting volume
         remote = ray.remote(num_cpus=num_cpus_per_shard)(ShardActor)
-        self.actors = [remote.remote(index_dir, s, preload) for s in shards]
+        self.actors = [remote.remote(index_dir, s) for s in shards]
         ray.get([a.ping.remote() for a in self.actors])  # constructors done
 
     def search(self, query: str, k: int = 10, mode: str = "bm25") -> pa.Table:
@@ -70,19 +85,8 @@ class ShardedSearcher:
         table: the shards' top-k merged, ``rank`` renumbered."""
         import ray
 
-        from coderag_ray.query.search import _empty_result
-
-        tables = [t for t in ray.get([a.search.remote(query, k, mode) for a in self.actors])
-                  if t.num_rows]
-        if not tables:
-            return _empty_result()
-        merged = pa.concat_tables(tables)
-        scores = merged["score"].to_numpy()
-        doc_ids = merged["doc_id"].to_numpy()
-        chunk_ids = merged["chunk_id"].to_numpy()
-        order = np.lexsort((chunk_ids, doc_ids, -scores))[:k]
-        return merged.take(pa.array(order)).set_column(
-            0, "rank", pa.array(np.arange(1, len(order) + 1, dtype=np.int32)))
+        return merge_shard_results(
+            ray.get([a.search.remote(query, k, mode) for a in self.actors]), k)
 
     def shutdown(self) -> None:
         import ray

@@ -17,12 +17,26 @@ from coderag_ray.index.reader import IndexReader
 from coderag_ray.oracle import OracleIndex
 from coderag_ray.query.search import SearchFilters, dedupe_query_tokens, search
 
+# 63 distinct tokens that occur nowhere in the corpus, then 3 real
+# terms: the real terms sit past the 63rd query token
+LONG_QUERY = " ".join(f"fillerzq{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(63)) \
+    + " user authentication database"
+
 QUERIES = [
     "user", "user authentication", "authenticate user", "user name",
     "database connection", "connect", "handleRequest", "async function error",
     "getUserById", "validate credentials password", "class admin permissions",
     "nonexistent_term_xyz", "", "self return function", "mergeSortedRuns posting_list",
+    LONG_QUERY,
 ]
+
+
+def disk_reader(index_dir: str) -> IndexReader:
+    """A reader whose postings are over its preload cap: every query
+    term comes from the disk source."""
+    reader = IndexReader(index_dir)
+    reader.PRELOAD_MAX_BYTES = 0
+    return reader
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +88,11 @@ def test_full_idf_table_matches_oracle(built):
 
 
 def test_rank_parity_exact(built):
-    """Both residencies — the resident compact scorer and the
-    per-partition scorer a ``preload="never"`` reader runs — equal the
-    oracle bitwise."""
+    """Both sources — the resident impacts and the disk postings of a
+    reader over its preload cap — equal the oracle bitwise."""
     corpus, index_dir, report, oracle = built
-    readers = {"resident": IndexReader(index_dir),
-               "never": IndexReader(index_dir, preload="never")}
+    readers = {"resident": IndexReader(index_dir), "disk": disk_reader(index_dir)}
+    assert oracle.search(LONG_QUERY, 10)
     for q in QUERIES:
         for k in (1, 5, 10, 50):
             exp_rows = [(d, c, s) for d, c, s, _ in oracle.search(q, k)]
@@ -137,6 +150,34 @@ def test_search_filters(built):
     assert all(p.endswith(".py") for p in res["path"].to_pylist())
     res2 = search(reader, "function", 20, filters=SearchFilters(exclude_paths=["src/"]))
     assert res2.num_rows == 0  # every path is under src/
+
+
+def test_filtered_search_equals_oracle(built):
+    """Filtered rankings on both sources equal the oracle's full ranking
+    filtered by path, then cut at k: scores use only global statistics,
+    so filtering before ranking equals filtering the ranking."""
+    corpus, index_dir, report, oracle = built
+    path_of = {(c.doc_id, c.chunk_id): c.path for c in oracle.chunks}
+    cases = [  # paths look like src/mod<i>/file<i>.<ext>
+        (SearchFilters(file_extensions=[".ts", ".py"]), lambda p: p.endswith((".ts", ".py"))),
+        (SearchFilters(path_filter="mod1"), lambda p: "mod1" in p),
+        (SearchFilters(exclude_paths=["mod2", ".py"]),
+         lambda p: "mod2" not in p and ".py" not in p),
+    ]
+    readers = {"resident": IndexReader(index_dir), "disk": disk_reader(index_dir)}
+    n = oracle.n_chunks
+    for q in ("user authentication", "self return function", "database connection"):
+        for min_score in (0.0, 2.0):
+            full = oracle.search(q, n, min_score=min_score)
+            for filters, keep in cases:
+                passed = [(d, c, s) for d, c, s, _ in full if keep(path_of[(d, c)])]
+                assert passed, (q, filters)
+                for k in (1, 10, n):
+                    for name, reader in readers.items():
+                        got = search(reader, q, k, min_score=min_score, filters=filters)
+                        rows = list(zip(got["doc_id"].to_pylist(), got["chunk_id"].to_pylist(),
+                                        got["score"].to_pylist()))
+                        assert rows == passed[:k], (name, q, filters, min_score, k)
 
 
 def test_partition_count_invariance(ray_session, tmp_path):

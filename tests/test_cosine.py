@@ -42,29 +42,30 @@ def test_magnitudes_written_and_match_oracle(built):
         expected[(c.doc_id, c.chunk_id)] = math.sqrt(
             sum(((c.tf[t] / dl) * oracle.idf(t)) ** 2 for t in sorted(c.tf))
         )
-    n = 0
-    for pid in reader.partitions:
-        mags = reader.partition_magnitudes(pid)
-        h = reader.partition(pid)
-        for o in range(h.n_chunks):
-            assert mags[o] == pytest.approx(
-                expected[(int(h.doc_ids[o]), int(h.chunk_ids[o]))], abs=1e-12
-            )
-            n += 1
-    assert n == oracle.n_chunks
+    mags, rows = reader.magnitudes(), reader.ordinal_space()
+    for o in range(rows.n_chunks):
+        assert mags[o] == pytest.approx(
+            expected[(int(rows.doc_ids[o]), int(rows.chunk_ids[o]))], abs=1e-12
+        )
+    assert len(mags) == rows.n_chunks == oracle.n_chunks
 
 
 def test_cosine_rank_parity(built):
+    """Cosine values always come from the disk postings; a resident
+    reader and one over its preload cap both equal the oracle."""
     d, oracle = built
-    reader = IndexReader(d)
-    for q in QUERIES:
-        for k in (1, 5, 20):
-            exp = oracle.search_cosine(q, k)
-            got = search(reader, q, k, with_doc_columns=False, mode="cosine")
-            got_rows = list(zip(got["doc_id"].to_pylist(), got["chunk_id"].to_pylist(),
-                                got["score"].to_pylist()))
-            exp_rows = [(a, b, s) for a, b, s, _ in exp]
-            assert got_rows == exp_rows, f"q={q!r} k={k}"
+    resident, disk = IndexReader(d), IndexReader(d)
+    disk.PRELOAD_MAX_BYTES = 0
+    assert resident.ensure_preloaded() and not disk.ensure_preloaded()
+    for reader in (resident, disk):
+        for q in QUERIES:
+            for k in (1, 5, 20):
+                exp = oracle.search_cosine(q, k)
+                got = search(reader, q, k, with_doc_columns=False, mode="cosine")
+                got_rows = list(zip(got["doc_id"].to_pylist(), got["chunk_id"].to_pylist(),
+                                    got["score"].to_pylist()))
+                exp_rows = [(a, b, s) for a, b, s, _ in exp]
+                assert got_rows == exp_rows, f"q={q!r} k={k}"
 
 
 def test_cosine_scores_bounded(built):

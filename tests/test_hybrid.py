@@ -115,9 +115,10 @@ def test_vector_topk_shard_and_lazy_reader(built):
     assert len(shard.embeddings()) == sum(
         full.partition(p).n_chunks for p in shard.partitions) < full.n_chunks
     _check_bruteforce(shard, [1, 5, len(shard.embeddings()) + 3])
-    lazy = IndexReader(d, preload="never")
+    lazy = IndexReader(d)
+    lazy.PRELOAD_MAX_BYTES = 0  # over the cap: never resident
     _check_bruteforce(lazy, [1, 7, lazy.n_chunks])
-    assert lazy.compact() is None
+    assert not lazy.ensure_preloaded() and lazy.compact() is None
     # a resident reader scores from the compact index's own ordinal arrays
     res = IndexReader(d)
     assert res.ensure_preloaded()

@@ -187,48 +187,6 @@ def test_lang_quota_sample_skewed_multibatch(ray_session):
 
 
 # --------------------------------------------------------------------------
-# T3 candidate cap (opt-in reference recall approximation)
-# --------------------------------------------------------------------------
-
-def test_candidate_cap_reference_semantics(ray_session, tmp_path):
-    import ray.data
-
-    from coderag_ray.config import IndexConfig
-    from coderag_ray.corpus import make_corpus
-    from coderag_ray.index.build import build_index
-    from coderag_ray.query.search import search
-
-    d = str(tmp_path / "idx")
-    build_index(ray.data.from_arrow(make_corpus(120, seed=31)), d,
-                IndexConfig(num_partitions=3))
-    q = "user authentication database"
-    full = search(d, q, 10, with_doc_columns=False)
-    # a generous cap reproduces the exhaustive ranking (the reference
-    # default is limit * 2 over a corpus where top-k all match most terms)
-    capped = search(d, q, 10, with_doc_columns=False, candidate_cap=10_000)
-    assert full.select(["doc_id", "chunk_id", "score"]).equals(
-        capped.select(["doc_id", "chunk_id", "score"]))
-    # a tiny cap restricts scoring to the highest-match-count candidates:
-    # every returned chunk matches at least as many query terms as any
-    # chunk the cap dropped would need to outrank it on count
-    tiny = search(d, q, 10, with_doc_columns=False, candidate_cap=3)
-    assert tiny.num_rows <= 3
-    n_matched_full = {(r["doc_id"], r["chunk_id"]): len(r["matched_terms"])
-                      for r in full.to_pylist()}
-    n_matched_tiny = [len(r["matched_terms"]) for r in tiny.to_pylist()]
-    assert min(n_matched_tiny) >= max(
-        0, max(n_matched_full.values()) - 1) or len(n_matched_full) <= 3
-    # incompatible paths refuse loudly
-    import pytest as _pytest
-
-    from coderag_ray.query.search import SearchFilters
-
-    with _pytest.raises(ValueError):
-        search(d, q, 10, with_doc_columns=False, candidate_cap=5,
-               filters=SearchFilters(path_filter="src/"))
-
-
-# --------------------------------------------------------------------------
 # champion-list early termination == exhaustive, always
 # --------------------------------------------------------------------------
 

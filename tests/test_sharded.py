@@ -1,6 +1,6 @@
 """Sharded scatter-gather query tier: exact equality with the
-single-reader path at several shard counts, for resident and
-non-resident shards."""
+single-reader path at several shard counts, for resident shards and for
+shards whose postings come from disk."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from coderag_ray.corpus import make_corpus
 from coderag_ray.index.build import build_index
 from coderag_ray.index.reader import IndexReader
 from coderag_ray.query.search import search
-from coderag_ray.query.sharded import ShardedSearcher
+from coderag_ray.query.sharded import ShardedSearcher, merge_shard_results
 
 QUERIES = [
     "user authentication", "database connection", "handleRequest",
@@ -49,17 +49,19 @@ def test_sharded_equals_single_reader(sharded_idx, n_shards):
 
 
 def test_sharded_wand_equals_single(sharded_idx):
-    """Non-resident shards (per-partition scorer) merge to the resident
-    single-reader result."""
+    """Shards over their preload cap (disk source), one reader per
+    round-robin partition subset as ShardedSearcher assigns them, merge
+    with the searcher's own merge to the resident single-reader result."""
     reader = IndexReader(sharded_idx)
-    srch = ShardedSearcher(sharded_idx, n_shards=4, preload="never")
-    try:
-        for q in QUERIES:
-            single = search(reader, q, 10, with_doc_columns=False)
-            merged = srch.search(q, 10)
-            assert merged.equals(single), q
-    finally:
-        srch.shutdown()
+    shards = [IndexReader(sharded_idx, partitions=reader.partitions[i::4]) for i in range(4)]
+    for shard in shards:
+        shard.PRELOAD_MAX_BYTES = 0
+    for q in QUERIES:
+        single = search(reader, q, 10, with_doc_columns=False)
+        merged = merge_shard_results(
+            [search(s, q, 10, with_doc_columns=False) for s in shards], 10)
+        assert merged.equals(single), q
+    assert not any(s.ensure_preloaded() for s in shards)
 
 
 def test_reader_partition_subset_scores_globally(sharded_idx):

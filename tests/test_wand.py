@@ -1,9 +1,8 @@
-"""Non-resident vs resident BM25 parity: the per-partition exhaustive
-scorer that a ``preload="never"`` reader runs must return bitwise the
-same top-k as the resident compact path (champion lists with the
-exhaustive scatter fallback) on every reference query.  The test names
-date from the block-max WAND scorer that served non-resident readers
-before the per-partition scorer replaced it."""
+"""Disk vs resident BM25 parity: a reader over its preload cap, whose
+query terms all come from the disk source, must return bitwise the same
+top-k as the resident path (champion lists with the exhaustive scatter
+fallback) on every reference query.  The test names date from the
+block-max WAND scorer that served non-resident readers before."""
 
 import pytest
 
@@ -22,6 +21,12 @@ QUERIES = [
 ]
 
 
+def disk_reader(index_dir: str) -> IndexReader:
+    reader = IndexReader(index_dir)
+    reader.PRELOAD_MAX_BYTES = 0  # over the cap: the disk source
+    return reader
+
+
 @pytest.fixture(scope="module")
 def built(ray_session, tmp_path_factory):
     import ray.data
@@ -34,7 +39,7 @@ def built(ray_session, tmp_path_factory):
 
 def test_wand_equals_exhaustive(built):
     reader = IndexReader(built)
-    cold = IndexReader(built, preload="never")
+    cold = disk_reader(built)
     assert reader.ensure_preloaded() and not cold.ensure_preloaded()
     sem = ["rank", "doc_id", "chunk_id", "score", "matched_terms"]
     for q in QUERIES:
@@ -46,7 +51,7 @@ def test_wand_equals_exhaustive(built):
 
 def test_wand_min_score_equals_exhaustive(built):
     reader = IndexReader(built)
-    cold = IndexReader(built, preload="never")
+    cold = disk_reader(built)
     sem = ["rank", "doc_id", "chunk_id", "score"]
     for ms in (0.5, 2.0, 5.0):
         a = search(reader, "self return function", 20,
@@ -78,7 +83,7 @@ def test_blockmax_flat_impacts_ties_exact(ray_session, tmp_path):
     build_index(ray.data.from_arrow(docs), idx, cfg)
     oracle = OracleIndex.from_rows(docs.to_pylist(), cfg)
     warm = IndexReader(idx)
-    cold = IndexReader(idx, preload="never")
+    cold = disk_reader(idx)
     for k in (1, 5, 50, 600):
         exp = [(d, c, s) for d, c, s, _ in oracle.search("alpha beta", k)]
         for reader in (warm, cold):
@@ -86,3 +91,40 @@ def test_blockmax_flat_impacts_ties_exact(ray_session, tmp_path):
             rows = list(zip(got["doc_id"].to_pylist(), got["chunk_id"].to_pylist(),
                             got["score"].to_pylist()))
             assert rows == exp, (k, reader.ensure_preloaded())
+
+
+def test_disk_source_shared_by_threads(built):
+    """Threads sharing one disk reader, whose term cache is small enough
+    to evict on every query, get what one thread gets, and the cache's
+    postings count stays equal to what it holds."""
+    import sys
+    import threading
+
+    want = {q: search(disk_reader(built), q, 10, with_doc_columns=False) for q in QUERIES}
+    shared = disk_reader(built)
+    shared._TERM_CACHE_MAX_POSTINGS = 50
+    errors, done = [], []
+
+    def work(i):
+        try:
+            for q in (QUERIES[i:] + QUERIES[:i]) * 2:
+                assert search(shared, q, 10, with_doc_columns=False).equals(want[q]), q
+            done.append(i)
+        except Exception as e:  # noqa: BLE001 — reported by the main thread
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert sorted(done) == list(range(8))
+    assert shared._term_cache_postings == sum(
+        len(o) + 1 for o, _ in shared._term_cache.values())
