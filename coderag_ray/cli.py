@@ -4,7 +4,7 @@ entry point and a ``codebase_search``-shaped query command with
 markdown output, plus ``status`` (≈ ``get_indexing_status``).
 
 Usage:
-    python -m coderag_ray.cli build  <docs.parquet|dir> <index_dir> [--tokenizer code|simple] [--partitions N]
+    python -m coderag_ray.cli build  <corpus.parquet|dir> <index_dir> [--tokenizer code|simple] [--partitions N]
     python -m coderag_ray.cli search <index_dir> "query text" [-k 10] [--ext .py] [--path src/] [--exclude test] [--mode bm25|cosine] [--json]
     python -m coderag_ray.cli status <index_dir>
 

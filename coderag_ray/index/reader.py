@@ -23,6 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -33,18 +34,6 @@ from coderag_ray.functions.embeddings import emb_matrix
 from coderag_ray.config import IndexConfig
 from coderag_ray.index import manifest as mf
 from coderag_ray.index.partition import part_dirname
-
-
-@dataclass
-class PartitionHandle:
-    part_id: int
-    doc_ids: np.ndarray      # [n_local] int64, ordinal-indexed
-    chunk_ids: np.ndarray    # [n_local] int64
-    dls: np.ndarray          # [n_local] int64 token counts
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self.doc_ids)
 
 
 @dataclass
@@ -96,24 +85,31 @@ class IndexReader:
         self.meta = mf.load_meta(index_dir)
         self.config = IndexConfig.from_dict(self.meta["config"])
         man = mf.load_manifest(index_dir)
-        self.partitions = sorted(
-            p for p, row in mf.manifest_partitions(man).items() if row.get("n_chunks", 0) > 0
-        )
-        if partitions is not None:
-            subset = set(partitions)
-            self.partitions = [p for p in self.partitions if p in subset]
+        # the partitions= subset, kept so a reopened reader serves the same shard
+        self.shard = None if partitions is None else set(partitions)
+        # part_id → chunk rows: the length of each partition's run of
+        # global ordinals (empty partitions hold none)
+        self._part_rows = {
+            p: int(row["n_chunks"]) for p, row in sorted(mf.manifest_partitions(man).items())
+            if row.get("n_chunks", 0) > 0 and (self.shard is None or p in self.shard)
+        }
+        self.partitions = list(self._part_rows)
         self.avgdl = float(self.meta["avgdl"])
         self.n_chunks = int(self.meta["n_chunks"])
-        self._part_cache: dict[int, PartitionHandle] = {}
         self._idf_cache: dict[str, tuple[int, float]] = {}
         self._idf_misses: set[str] = set()
+        self._idf_checked_full = False
+        self._idf_full = False
         # per-term decoded-postings LRU of the disk source — the
         # query-server analog of the reference's query-token/search caches
         # (tfidf.ts:20-38, search-cache.ts:24-132); invalidation = new
         # reader per index build
         self._term_cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._term_cache_postings = 0
+        # guards the term LRU and every read through a cached
+        # ParquetFile handle (_sorted_file)
         self._term_lock = threading.Lock()
+        self._pf_cache: dict[tuple[int, str], tuple] = {}
         self._preload_checked = False
         # serializes ensure_preloaded against preload_async's background
         # thread — a search arriving mid-preload blocks until resident
@@ -126,10 +122,12 @@ class IndexReader:
         # the cache/miss mutations single-writer
         self._idf_lock = threading.Lock()
         # the ordinal space and the per-ordinal columns are loaded once,
-        # by whichever of the preload thread and a query gets there first
-        self._rows_lock = threading.Lock()
+        # by whichever of the preload thread and a query gets there first;
+        # reentrant, since ordinal_space() loads its rows via _per_ordinal
+        self._rows_lock = threading.RLock()
         self._rows: CompactIndex | None = None
-        self._columns: dict[str, np.ndarray] = {}
+        self._columns: dict[str, np.ndarray | pa.Array] = {}
+        self._compact: CompactIndex | None = None
         self._bytes_postings = sum(
             row.get("bytes_postings", 0) for row in mf.manifest_partitions(man).values()
         )
@@ -151,7 +149,7 @@ class IndexReader:
             return self._idf_for_terms_locked(terms)
 
     def _idf_for_terms_locked(self, terms: list[str]) -> dict[str, tuple[int, float]]:
-        if not getattr(self, "_idf_checked_full", False):
+        if not self._idf_checked_full:
             self._idf_checked_full = True
             idf_path = os.path.join(self.index_dir, "idf")
             dataset = pads.dataset(idf_path, format="parquet")
@@ -164,7 +162,7 @@ class IndexReader:
                     )
                 )
                 self._idf_full = True
-        if getattr(self, "_idf_full", False):
+        if self._idf_full:
             return {t: self._idf_cache[t] for t in terms if t in self._idf_cache}
         missing = [t for t in terms if t not in self._idf_cache and t not in self._idf_misses]
         if missing:
@@ -184,22 +182,6 @@ class IndexReader:
     def part_dir(self, part_id: int) -> str:
         return os.path.join(self.index_dir, "parts", part_dirname(part_id))
 
-    def partition(self, part_id: int) -> PartitionHandle:
-        h = self._part_cache.get(part_id)
-        if h is None:
-            tbl = pq.read_table(
-                os.path.join(self.part_dir(part_id), "docs.parquet"),
-                columns=["doc_id", "chunk_id", "dl"],
-            )
-            h = PartitionHandle(
-                part_id=part_id,
-                doc_ids=tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-                chunk_ids=tbl["chunk_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-                dls=tbl["dl"].to_numpy(zero_copy_only=False).astype(np.int64),
-            )
-            self._part_cache[part_id] = h
-        return h
-
     def ordinal_space(self) -> CompactIndex:
         """This reader's chunk rows in global-ordinal order (ascending
         partition, then local ordinal), as a postings-free
@@ -207,66 +189,77 @@ class IndexReader:
         and the vector scorer share its arrays."""
         with self._rows_lock:
             if self._rows is None:
-                hs = [self.partition(pid) for pid in self.partitions]
-                starts = np.cumsum([0] + [h.n_chunks for h in hs])
+                doc_ids, chunk_ids, dls = (
+                    c.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+                    for c in self.doc_columns(["doc_id", "chunk_id", "dl"]))
+                starts = np.cumsum([0] + list(self._part_rows.values()))
                 self._rows = CompactIndex(
-                    **{col: np.concatenate([getattr(h, col) for h in hs]
-                                           or [np.empty(0, dtype=np.int64)])
-                       for col in ("doc_ids", "chunk_ids", "dls")},
-                    part_offsets={h.part_id: int(s) for h, s in zip(hs, starts)},
+                    doc_ids=doc_ids, chunk_ids=chunk_ids, dls=dls,
+                    part_offsets=dict(zip(self.partitions, starts.tolist())),
                     postings={})
             return self._rows
 
-    def _per_ordinal(self, name: str, read, empty: np.ndarray) -> np.ndarray:
-        """``read(part_id)`` over this reader's partitions, concatenated
-        in global-ordinal order (:meth:`ordinal_space`).  Loaded on first
-        use and held for the reader's lifetime: a new index build gets a
-        new reader."""
+    def _per_ordinal(self, names: list[str], read, empty) -> list:
+        """The per-ordinal columns ``names``: ``read(part_id, missing)``
+        returns one part per missing name for each of this reader's
+        partitions, and each name's parts are concatenated in
+        global-ordinal order (:meth:`ordinal_space`); ``empty`` stands in
+        on a reader without partitions.  Loaded on first use and held
+        for the reader's lifetime: a new index build gets a new reader."""
         with self._rows_lock:
-            if name not in self._columns:
-                parts = [read(pid) for pid in self.partitions]
-                self._columns[name] = np.concatenate(parts) if parts else empty
-            return self._columns[name]
+            missing = [n for n in names if n not in self._columns]
+            if missing:
+                concat = pa.concat_arrays if isinstance(empty, pa.Array) else np.concatenate
+                parts = [read(pid, missing) for pid in self.partitions]
+                for pid, cols in zip(self.partitions, parts):
+                    for name, col in zip(missing, cols):
+                        if len(col) != self._part_rows[pid]:
+                            raise ValueError(
+                                f"{name} of partition {pid} has {len(col)} rows for "
+                                f"{self._part_rows[pid]} chunks; it is from another build")
+                for i, name in enumerate(missing):
+                    self._columns[name] = concat([p[i] for p in parts]) if parts else empty
+            return [self._columns[n] for n in names]
+
+    def doc_columns(self, names: list[str]) -> list[pa.Array]:
+        """``docs.parquet`` columns as Arrow arrays indexed by global
+        ordinal: the reader's doc store for doc columns, result filters
+        and the ordinal space.  Strings are held as ``large_string``, so
+        one column may exceed 2 GiB."""
+        def read(pid: int, missing: list[str]) -> list[pa.Array]:
+            with pq.ParquetFile(os.path.join(self.part_dir(pid), "docs.parquet")) as pf:
+                tbl = pf.read(columns=missing)
+            cols = [tbl[n].combine_chunks() for n in missing]
+            return [c.cast(pa.large_string()) if pa.types.is_string(c.type) else c
+                    for c in cols]
+
+        return self._per_ordinal(names, read, pa.array([], pa.null()))
 
     def embeddings(self) -> np.ndarray:
         """The partitions' ``embeddings.parquet`` sidecars as one
         (n_chunks, d) float64 matrix whose row i is global ordinal i."""
-        def read(pid: int) -> np.ndarray:
+        def read(pid: int, _) -> list[np.ndarray]:
             path = os.path.join(self.part_dir(pid), "embeddings.parquet")
             if not os.path.exists(path):
                 raise FileNotFoundError(f"no embeddings sidecar in partition {pid}; "
                                         "run build_embeddings() first")
-            E = emb_matrix(pq.read_table(path, columns=["embedding"])["embedding"])
-            if len(E) != self.partition(pid).n_chunks:
-                raise ValueError(
-                    f"embeddings sidecar of partition {pid} has {len(E)} rows "
-                    f"for {self.partition(pid).n_chunks} chunks; rerun build_embeddings()")
-            return E
+            return [emb_matrix(pq.read_table(path, columns=["embedding"])["embedding"])]
 
-        return self._per_ordinal("embeddings", read, np.empty((0, 0)))
-
-    def paths(self) -> np.ndarray:
-        """Chunk paths (object array) by global ordinal, for result filters."""
-        def read(pid: int) -> np.ndarray:
-            tbl = pq.read_table(os.path.join(self.part_dir(pid), "docs.parquet"),
-                                columns=["path"])
-            return np.array(tbl["path"].to_pylist(), dtype=object)
-
-        return self._per_ordinal("paths", read, np.empty(0, dtype=object))
+        return self._per_ordinal(["embeddings"], read, np.empty((0, 0)))[0]
 
     def magnitudes(self) -> np.ndarray:
         """Per-chunk TF-IDF magnitudes (cosine mode) by global ordinal;
         built by :func:`coderag_ray.index.magnitudes.build_magnitudes`."""
-        def read(pid: int) -> np.ndarray:
+        def read(pid: int, _) -> list[np.ndarray]:
             path = os.path.join(self.part_dir(pid), "magnitudes.parquet")
             if not os.path.exists(path):
                 raise FileNotFoundError(
                     f"no magnitudes in partition {pid}; build with "
                     "store_magnitudes=True or run build_magnitudes()")
             tbl = pq.read_table(path, columns=["magnitude"])
-            return tbl["magnitude"].to_numpy(zero_copy_only=False).astype(np.float64)
+            return [tbl["magnitude"].to_numpy(zero_copy_only=False).astype(np.float64)]
 
-        return self._per_ordinal("magnitudes", read, np.empty(0))
+        return self._per_ordinal(["magnitudes"], read, np.empty(0))[0]
 
     PRELOAD_MAX_BYTES = 512 << 20  # compressed; per query-server shard
     # decoded (ordinal, freq) pairs the disk source keeps, ~256 MB
@@ -275,7 +268,7 @@ class IndexReader:
     def compact(self) -> "CompactIndex | None":
         """Merged-partition resident view (see :class:`CompactIndex`);
         built lazily by :meth:`ensure_preloaded` when the shard fits."""
-        return getattr(self, "_compact", None)
+        return self._compact
 
     def preload_async(self) -> None:
         """Kick the resident preload off on a background thread — called
@@ -469,7 +462,7 @@ class IndexReader:
             offsets = self.ordinal_space().part_offsets
             found: dict[str, tuple[list, list]] = {t: ([], []) for t in missing}
             for pid in self.partitions:
-                pf, rg_mins, rg_maxs = self._postings_file(pid)
+                pf, rg_mins, rg_maxs = self._sorted_file(pid, "postings.parquet")
                 # row-group statistics form sorted, disjoint term ranges;
                 # binary-search the groups that can contain each term
                 rgs = sorted({i for t in missing for i in [bisect.bisect_right(rg_mins, t) - 1]
@@ -494,21 +487,18 @@ class IndexReader:
             self._term_cache_postings -= len(cache.popitem(last=False)[1][0]) + 1
         return out
 
-    def _postings_file(self, part_id: int):
-        """Cached ParquetFile + per-row-group (term_min, term_max) stats."""
-        cached = getattr(self, "_pf_cache", None)
-        if cached is None:
-            cached = self._pf_cache = {}
-        entry = cached.get(part_id)
+    def _sorted_file(self, part_id: int, name: str):
+        """Cached ``ParquetFile`` of one partition file sorted by its
+        first column (``term`` in postings, ``ordinal`` in chunks), with
+        that column's per-row-group (min, max) statistics.  Read it
+        under ``_term_lock``."""
+        entry = self._pf_cache.get((part_id, name))
         if entry is None:
-            pf = pq.ParquetFile(os.path.join(self.part_dir(part_id), "postings.parquet"))
-            term_idx = pf.schema_arrow.get_field_index("term")
-            mins, maxs = [], []
-            for rg in range(pf.metadata.num_row_groups):
-                st = pf.metadata.row_group(rg).column(term_idx).statistics
-                mins.append(st.min)
-                maxs.append(st.max)
-            entry = cached[part_id] = (pf, mins, maxs)
+            pf = pq.ParquetFile(os.path.join(self.part_dir(part_id), name))
+            stats = [pf.metadata.row_group(rg).column(0).statistics
+                     for rg in range(pf.metadata.num_row_groups)]
+            entry = self._pf_cache[part_id, name] = (
+                pf, [st.min for st in stats], [st.max for st in stats])
         return entry
 
     def chunk_contents(self, part_id: int, ordinals: np.ndarray) -> list[str]:
@@ -516,21 +506,14 @@ class IndexReader:
         ordinal IS the row index (chunks.parquet is written in ordinal
         order), so only the row groups covering the requested ordinals
         are decoded instead of the whole content column."""
-        pf = pq.ParquetFile(os.path.join(self.part_dir(part_id), "chunks.parquet"))
-        md = pf.metadata
-        bounds = np.cumsum([md.row_group(i).num_rows for i in range(md.num_row_groups)])
         ords = np.asarray(ordinals, dtype=np.int64)
-        groups = np.unique(np.searchsorted(bounds, ords, side="right"))
-        tbl = pf.read_row_groups(groups.tolist(), columns=["content"])
-        col = tbl["content"]
-        # re-base each ordinal into the concatenated selected groups
-        starts = np.r_[0, bounds[:-1]]  # first ordinal of each row group
-        sel_offset = {}
-        acc = 0
-        for g in groups.tolist():
-            sel_offset[g] = acc - int(starts[g])
-            acc += md.row_group(g).num_rows
-        return [
-            col[int(o) + sel_offset[int(np.searchsorted(bounds, o, side="right"))]].as_py()
-            for o in ords
-        ]
+        with self._term_lock:
+            pf, firsts, _ = self._sorted_file(part_id, "chunks.parquet")
+            group = np.searchsorted(firsts, ords, side="right") - 1
+            groups = np.unique(group)
+            col = pf.read_row_groups(groups.tolist(), columns=["content"])["content"]
+        # each group's first row within the concatenated selected groups
+        sizes = [pf.metadata.row_group(int(g)).num_rows for g in groups]
+        sel_start = np.cumsum([0] + sizes[:-1])
+        rows = sel_start[np.searchsorted(groups, group)] + ords - np.asarray(firsts)[group]
+        return col.take(pa.array(rows)).to_pylist()

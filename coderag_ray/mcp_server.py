@@ -21,8 +21,8 @@ Argv parsing mirrors ``index.ts:42-49`` / ``index.test.ts`` (``--root=``
 reference's "Index Not Available" text instead of crashing.  The server
 itself needs NO Ray session — ``IndexReader`` is plain
 pyarrow/numpy, so one server process can sit in front of an index a Ray
-cluster keeps rebuilding (new builds are picked up by reopening the
-reader when the manifest mtime changes).
+cluster keeps rebuilding (:class:`~coderag_ray.query.cache.CachedSearcher`
+reopens the reader when the manifest mtime changes).
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ class McpServer:
 
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
-        self._reader = None
-        self._reader_mtime = None
-        self._searcher = None  # CachedSearcher over the current reader
+        # results served through the reference-semantics TTL/LRU cache
+        # (search-cache.ts); it reopens the reader when a build lands
+        self._searcher = None
 
     # -- index access -----------------------------------------------------
 
@@ -102,20 +102,6 @@ class McpServer:
         from coderag_ray.index.manifest import MANIFEST_NAME
 
         return os.path.join(self.index_dir, MANIFEST_NAME)
-
-    def _get_reader(self):
-        from coderag_ray.index.reader import IndexReader
-
-        mtime = os.path.getmtime(self._manifest_path())
-        if self._reader is None or mtime != self._reader_mtime:
-            from coderag_ray.query.cache import CachedSearcher
-
-            self._reader = IndexReader(self.index_dir)
-            self._reader_mtime = mtime
-            # results served through the reference-semantics TTL/LRU
-            # cache (search-cache.ts); a rebuild invalidates it
-            self._searcher = CachedSearcher(self._reader)
-        return self._reader
 
     # -- tools ------------------------------------------------------------
 
@@ -138,7 +124,11 @@ class McpServer:
                 "server logs)\n- Auto-indexing is disabled\n\n💡 Build the "
                 "index (coderag_ray build) and restart the MCP server."
             )
-        reader = self._get_reader()
+        if self._searcher is None:
+            from coderag_ray.index.reader import IndexReader
+            from coderag_ray.query.cache import CachedSearcher
+
+            self._searcher = CachedSearcher(IndexReader(self.index_dir))
         filters = None
         if args.get("file_extensions") or args.get("path_filter") or args.get("exclude_paths"):
             filters = SearchFilters(
@@ -147,6 +137,7 @@ class McpServer:
                 exclude_paths=args.get("exclude_paths"),
             )
         res = self._searcher.search(query, limit, filters=filters)
+        reader = self._searcher.reader  # the reader that served res
         if res.num_rows == 0:
             return (
                 f'# Search: "{query}" (0 results)\n\nNo matches found. '

@@ -9,8 +9,9 @@ injectable so TTL tests don't sleep.
 :class:`CachedSearcher` wires it in front of :func:`search`: the cache
 key is the reference's ``createCacheKey`` pipe-join
 (``search-cache.ts:139-155``), and a manifest mtime change (a new build
-landed) invalidates everything — the static-snapshot analog of the
-reference's "call invalidate() when the index is updated".
+landed) reopens the reader and invalidates everything — the
+static-snapshot analog of the reference's "call invalidate() when the
+index is updated".
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ _SEARCH_KWARG_DEFAULTS = {
 
 class CachedSearcher:
     """Query-server front: search with result caching + rebuild
-    invalidation."""
+    invalidation.  A new build reopens the reader (same index dir and
+    shard) and drops every cached result."""
 
     def __init__(self, reader, max_size: int = 100, ttl_minutes: float = 5.0,
                  clock=time.monotonic):
@@ -142,10 +144,12 @@ class CachedSearcher:
             return None
 
     def search(self, query: str, k: int = 10, *, filters=None, **kwargs):
+        from coderag_ray.index.reader import IndexReader
         from coderag_ray.query.search import search
 
         mtime = self._manifest_mtime()
-        if mtime != self._mtime:  # a new build landed → results are stale
+        if mtime != self._mtime:  # a new build landed → reader and results are stale
+            self.reader = IndexReader(self.reader.index_dir, self.reader.shard)
             self.cache.invalidate()
             self._mtime = mtime
         extra = {k_: v for k_, v in kwargs.items()

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from coderag_ray.functions.bm25 import bm25_term_score
 from coderag_ray.functions.tokenizer import tokenize
@@ -72,18 +73,26 @@ def dedupe_query_tokens(tokens: list[str]) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
-def _filter_keep(paths: np.ndarray, filters: SearchFilters) -> np.ndarray:
+def _matches(paths: pa.Array, match, patterns: list[str]) -> np.ndarray:
+    """Whether each path matches any of the literal ``patterns`` under
+    ``match`` (``pc.ends_with`` or ``pc.match_substring``); a null path
+    matches none."""
+    hit = np.zeros(len(paths), dtype=bool)
+    for p in patterns:
+        hit |= match(paths, pattern=p).fill_null(False).to_numpy(zero_copy_only=False)
+    return hit
+
+
+def _filter_keep(paths: pa.Array, filters: SearchFilters) -> np.ndarray:
     """Boolean mask over ``paths`` of the chunks that pass the result
     filters (indexer.ts:1318-1333)."""
     keep = np.ones(len(paths), dtype=bool)
     if filters.file_extensions:
-        keep &= np.array([any(p.endswith(e) for e in filters.file_extensions) for p in paths],
-                         dtype=bool)
+        keep &= _matches(paths, pc.ends_with, filters.file_extensions)
     if filters.path_filter:
-        keep &= np.array([filters.path_filter in p for p in paths], dtype=bool)
+        keep &= _matches(paths, pc.match_substring, [filters.path_filter])
     if filters.exclude_paths:
-        keep &= np.array([not any(x in p for x in filters.exclude_paths) for p in paths],
-                         dtype=bool)
+        keep &= ~_matches(paths, pc.match_substring, filters.exclude_paths)
     return keep
 
 
@@ -115,40 +124,24 @@ def _empty_result() -> pa.Table:
     )
 
 
+# the doc-store columns a hit carries, with their result types
+_DOC_COLUMNS = {"repo": pa.string(), "path": pa.string(), "lang": pa.string(),
+                "start_offset": pa.int64(), "end_offset": pa.int64(),
+                "chunk_sha256": pa.string(), "content_sha256": pa.string()}
+
+
 def attach_doc_columns(result: pa.Table, reader: IndexReader) -> pa.Table:
     """Join doc metadata (repo/path/lang/offsets/sha) onto a top-k result
-    — the chunks ⋈ files denormalized join (J4)."""
-    import pyarrow.parquet as pq
-    import os
-
-    cols = {c: [] for c in ("repo", "path", "lang", "start_offset", "end_offset",
-                            "chunk_sha256", "content_sha256", "token_count")}
-    cache: dict[int, pa.Table] = {}
-    for pid, ordn in zip(result["part_id"].to_pylist(), result["ordinal"].to_pylist()):
-        tbl = cache.get(pid)
-        if tbl is None:
-            tbl = pq.read_table(
-                os.path.join(reader.part_dir(pid), "docs.parquet"),
-                columns=["repo", "path", "lang", "start_offset", "end_offset",
-                         "chunk_sha256", "content_sha256", "dl"],
-            )
-            cache[pid] = tbl
-        for c in cols:
-            src = "dl" if c == "token_count" else c
-            cols[c].append(tbl[src][ordn].as_py())
-    for c, vals in cols.items():
-        result = result.append_column(c, pa.array(vals))
-    return result
-
-
-def make_snippets(result: pa.Table, reader: IndexReader) -> list[str]:
-    """Chunk content with line numbers — indexer.ts:1379-1382 semantics
-    (lines numbered from start_line; fallback chunks start at 0)."""
-    out = []
-    for pid, ordn in zip(result["part_id"].to_pylist(), result["ordinal"].to_pylist()):
-        content = reader.chunk_contents(pid, np.array([ordn]))[0]
-        out.append("\n".join(f"{i}: {ln}" for i, ln in enumerate(content.split("\n"))))
-    return out
+    — the chunks ⋈ files denormalized join (J4): one take per column
+    from the reader's doc store at each hit's global ordinal;
+    ``token_count`` is the chunk's ``dl``."""
+    rows = reader.ordinal_space()
+    ords = np.array([rows.part_offsets[p] for p in result["part_id"].to_pylist()],
+                    dtype=np.int64) + result["ordinal"].to_numpy()
+    take = pa.array(ords)
+    for (name, typ), col in zip(_DOC_COLUMNS.items(), reader.doc_columns(list(_DOC_COLUMNS))):
+        result = result.append_column(name, col.take(take).cast(typ))
+    return result.append_column("token_count", pa.array(rows.dls[ords]))
 
 
 def _disk_values(reader: IndexReader, tokens: list[str], idf_map: dict,
@@ -184,10 +177,18 @@ def search(
     mode: str = "bm25",
 ) -> pa.Table:
     """Top-k BM25 (or ``mode="cosine"``) search; returns an Arrow table
-    of ranked results (module docstring)."""
+    of ranked results (module docstring), with the doc columns on every
+    path when ``with_doc_columns``."""
     if mode not in ("bm25", "cosine"):
         raise ValueError(f"unknown mode {mode!r}")
     reader = index if isinstance(index, IndexReader) else IndexReader(index)
+    result = _ranked(reader, query, k, min_score, filters, mode)
+    return attach_doc_columns(result, reader) if with_doc_columns else result
+
+
+def _ranked(reader: IndexReader, query: str, k: int, min_score: float,
+            filters: SearchFilters | None, mode: str) -> pa.Table:
+    """:func:`search`'s ranked table, before the doc columns."""
     all_toks = tokenize(query, reader.config.tokenizer,
                         getattr(reader.config, "bpe_vocab_path", None))
     tokens = dedupe_query_tokens(all_toks)
@@ -235,7 +236,8 @@ def search(
             scores[cand] = np.where(denom > 0, scores[cand] / np.where(denom > 0, denom, 1.0),
                                     0.0)
         if filters is not None:
-            cand = cand[_filter_keep(reader.paths()[cand], filters)]
+            paths, = reader.doc_columns(["path"])
+            cand = cand[_filter_keep(paths.take(pa.array(cand)), filters)]
         if min_score > 0.0:
             # the reference keeps score == minScore (tfidf.ts:414)
             cand = cand[scores[cand] >= min_score]
@@ -253,7 +255,7 @@ def search(
         hits.append(rec[0][j] == sel)
     matched_terms = [[tok for tok, h in zip(tokens, row) if h] for row in zip(*hits)]
     pids, local = rows.locate(sel)
-    result = pa.table(
+    return pa.table(
         {
             "rank": pa.array(np.arange(1, len(sel) + 1, dtype=np.int32)),
             "doc_id": pa.array(rows.doc_ids[sel]),
@@ -264,9 +266,6 @@ def search(
             "ordinal": pa.array(local),
         }
     )
-    if with_doc_columns:
-        result = attach_doc_columns(result, reader)
-    return result
 
 
 CHAMPION_C = 256        # first-rung impact-ordered prefix length per term

@@ -163,6 +163,9 @@ def test_filtered_search_equals_oracle(built):
         (SearchFilters(path_filter="mod1"), lambda p: "mod1" in p),
         (SearchFilters(exclude_paths=["mod2", ".py"]),
          lambda p: "mod2" not in p and ".py" not in p),
+        # patterns are literal: no path contains "mod1." and every path ends with ""
+        (SearchFilters(exclude_paths=["mod1."]), lambda p: True),
+        (SearchFilters(file_extensions=[""]), lambda p: True),
     ]
     readers = {"resident": IndexReader(index_dir), "disk": disk_reader(index_dir)}
     n = oracle.n_chunks
@@ -178,6 +181,42 @@ def test_filtered_search_equals_oracle(built):
                         rows = list(zip(got["doc_id"].to_pylist(), got["chunk_id"].to_pylist(),
                                         got["score"].to_pylist()))
                         assert rows == passed[:k], (name, q, filters, min_score, k)
+                        assert got["path"].to_pylist() == [path_of[(d, c)] for d, c, _ in rows]
+
+
+def test_doc_columns_equal_the_partition_files(built):
+    """Every doc column of a hit, on the whole index and on a shard,
+    equals its partition's docs.parquet row at the hit's ordinal."""
+    corpus, index_dir, report, oracle = built
+    full = IndexReader(index_dir)
+    shard = IndexReader(index_dir, partitions=full.partitions[1::2])
+    for reader in (full, shard):
+        res = search(reader, "user function return database", 10_000)
+        assert set(res["part_id"].to_pylist()) == set(reader.partitions)
+        docs = {pid: pq.read_table(os.path.join(reader.part_dir(pid), "docs.parquet")).to_pylist()
+                for pid in reader.partitions}
+        for row in res.to_pylist():
+            want = docs[row["part_id"]][row["ordinal"]]
+            for name in ("doc_id", "chunk_id", "repo", "path", "lang", "start_offset",
+                         "end_offset", "chunk_sha256", "content_sha256"):
+                assert row[name] == want[name], (name, row)
+            assert row["token_count"] == want["dl"]
+
+
+def test_empty_results_carry_the_hit_schema(built):
+    corpus, index_dir, report, oracle = built
+    reader = IndexReader(index_dir)
+    hit = search(reader, "user authentication", 5)
+    assert hit.num_rows == 5 and len(hit.schema) == 15
+    empties = [
+        search(reader, "", 5),
+        search(reader, "zzqxnomatchword", 5),
+        search(reader, "user", 5, filters=SearchFilters(exclude_paths=["src/"])),
+        search(reader, "user", 5, min_score=1e9),
+        search(IndexReader(index_dir, partitions=[]), "user authentication", 5),
+    ]
+    for res in empties:
+        assert res.num_rows == 0 and res.schema == hit.schema
 
 
 def test_partition_count_invariance(ray_session, tmp_path):

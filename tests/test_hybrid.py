@@ -77,10 +77,11 @@ def _brute_topk(reader, query, k, dimensions=32):
     for pid in reader.partitions:
         E = emb_matrix(pq.read_table(
             os.path.join(reader.part_dir(pid), "embeddings.parquet"))["embedding"])
-        h = reader.partition(pid)
-        for o in range(len(E)):
-            rows.append((float(np.einsum("j,j->", E[o], qv)), int(h.doc_ids[o]),
-                         int(h.chunk_ids[o]), pid, o))
+        docs = pq.read_table(os.path.join(reader.part_dir(pid), "docs.parquet"),
+                             columns=["doc_id", "chunk_id"])
+        for o, (doc_id, chunk_id) in enumerate(zip(docs["doc_id"].to_pylist(),
+                                                   docs["chunk_id"].to_pylist())):
+            rows.append((float(np.einsum("j,j->", E[o], qv)), doc_id, chunk_id, pid, o))
     sims = np.array([r[0] for r in rows])
     order = np.lexsort(([r[2] for r in rows], [r[1] for r in rows], -sims))[:k]
     return [(rows[i][1], rows[i][2], rows[i][0], rows[i][3], rows[i][4]) for i in order]
@@ -108,12 +109,17 @@ def test_vector_topk_matches_bruteforce(built):
 
 
 def test_vector_topk_shard_and_lazy_reader(built):
+    import os
+
+    import pyarrow.parquet as pq
+
     d, _ = built
     full = IndexReader(d)
     shard = IndexReader(d, partitions=full.partitions[1:])
     # a shard holds only its own rows
     assert len(shard.embeddings()) == sum(
-        full.partition(p).n_chunks for p in shard.partitions) < full.n_chunks
+        pq.read_metadata(os.path.join(full.part_dir(p), "docs.parquet")).num_rows
+        for p in shard.partitions) < full.n_chunks
     _check_bruteforce(shard, [1, 5, len(shard.embeddings()) + 3])
     lazy = IndexReader(d)
     lazy.PRELOAD_MAX_BYTES = 0  # over the cap: never resident

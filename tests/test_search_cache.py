@@ -108,3 +108,28 @@ def test_cached_searcher_hits_and_rebuild_invalidation(ray_session, tmp_path):
     r3 = srch.search("customer data row", 5, with_doc_columns=False)
     assert r3 is not r1
     assert r3.equals(r1)  # same index content → same results
+
+
+def test_cached_searcher_reopens_the_reader_after_a_rebuild(ray_session, tmp_path):
+    """A build of another corpus into the same directory is served by a
+    fresh reader, not by the one the searcher was opened with."""
+    import ray.data
+
+    from coderag_ray.config import IndexConfig
+    from coderag_ray.corpus import make_corpus
+    from coderag_ray.index.build import build_index
+    from coderag_ray.index.reader import IndexReader
+    from coderag_ray.query.search import search
+
+    idx = str(tmp_path / "rebuilt")
+    q = "user authentication database"
+    build_index(ray.data.from_arrow(make_corpus(60, seed=1)), idx, IndexConfig(num_partitions=3))
+    srch = CachedSearcher(IndexReader(idx))
+    before = srch.search(q, 10)
+    build_index(ray.data.from_arrow(make_corpus(90, seed=2)), idx, IndexConfig(num_partitions=3),
+                resume=False)
+    man = os.path.join(idx, "_manifest.json")  # a new mtime even within one clock tick
+    os.utime(man, (os.path.getmtime(man) + 5, os.path.getmtime(man) + 5))
+    got = srch.search(q, 10)
+    want = search(IndexReader(idx), q, 10)
+    assert got.equals(want) and not got.equals(before)
