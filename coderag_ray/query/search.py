@@ -235,7 +235,7 @@ def _ranked(reader: IndexReader, query: str, k: int, min_score: float,
             denom = qmag * reader.magnitudes()[cand]
             scores[cand] = np.where(denom > 0, scores[cand] / np.where(denom > 0, denom, 1.0),
                                     0.0)
-        if filters is not None:
+        if filters is not None and len(cand):
             paths, = reader.doc_columns(["path"])
             cand = cand[_filter_keep(paths.take(pa.array(cand)), filters)]
         if min_score > 0.0:

@@ -214,6 +214,8 @@ def test_empty_results_carry_the_hit_schema(built):
         search(reader, "user", 5, filters=SearchFilters(exclude_paths=["src/"])),
         search(reader, "user", 5, min_score=1e9),
         search(IndexReader(index_dir, partitions=[]), "user authentication", 5),
+        search(IndexReader(index_dir, partitions=[]), "user", 5,
+               filters=SearchFilters(file_extensions=[".py"])),
     ]
     for res in empties:
         assert res.num_rows == 0 and res.schema == hit.schema
